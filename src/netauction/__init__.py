@@ -15,15 +15,11 @@ from .critical import (
     CriticalStructure,
     Unqualified,
     all_critical_structures,
-    critical_children,
-    critical_diffusion_nodes,
-    critical_diffusion_sequence,
     critical_nodes_by_removal,
 )
 from .drm import (
     MECHANISMS,
     baseline_direct_second_price,
-    drm_run,
     get_mechanism,
     graph_exploration_cdp,
     greedy_bdp,
@@ -37,12 +33,10 @@ from .framework import (
     BundleTuple,
     DistributorPartition,
     RoundState,
-    dcaf_run,
     dcaf_run_detailed,
     drp_run,
     price_fn,
     resale_revenue_fn,
-    seller_revenue,
 )
 from .generate import FamilySpec, generate_instances
 from .idm import IdmTrace, SingleItemResult, idm_run

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import generate as gen
 from .drm import MECHANISMS, get_mechanism, graph_exploration_cdp, greedy_bdp
-from .framework import seller_revenue
 from .idm import idm_run
 from .instance_io import ParseError, load_instance, save_instance
 from .model import (
@@ -209,9 +208,9 @@ def _cmd_compare(args) -> int:
         direct = baseline(instance, config)
         rows.append([
             path.name,
-            str(seller_revenue(ours)),
+            str(ours.seller_revenue),
             str(social_welfare(instance, ours)),
-            str(seller_revenue(direct)),
+            str(direct.seller_revenue),
             str(social_welfare(instance, direct)),
         ])
     print(_format_table(headers, rows))

@@ -25,15 +25,17 @@ class Unqualified(AuctionError):
 
 @dataclass(frozen=True)
 class CriticalStructure:
-    """Batch view: per-bidder critical sequences and critical children.
+    """Per-bidder critical sequences and critical children of every
+    qualified bidder.
 
-    ``root`` names the bidder acting as the source when the structure was
-    computed on a restricted market; ``None`` means the instance's seller.
+    ``critical_nodes[i]`` lists ``i``'s critical diffusion nodes so that each
+    entry is critical for every later one, ending at ``i`` itself;
+    ``critical_children[i]`` is every bidder ``i`` is critical for,
+    ``i`` included (her dominator subtree).
     """
 
     critical_nodes: dict[int, tuple[int, ...]]
     critical_children: dict[int, frozenset[int]]
-    root: int | None = None
 
 
 def _dominator_tree(instance: AuctionInstance) -> dict[int, int]:
@@ -93,42 +95,6 @@ def _dominator_tree(instance: AuctionInstance) -> dict[int, int]:
                 changed = True
     del idom[_SOURCE]
     return idom
-
-
-def critical_diffusion_sequence(instance: AuctionInstance, i: int) -> tuple[int, ...]:
-    """Critical diffusion nodes of ``i`` ordered so that each earlier entry is
-    critical for every later one; the last entry is ``i`` itself."""
-    idom = _dominator_tree(instance)
-    if i not in idom:
-        raise Unqualified(i)
-    chain = [i]
-    cur = i
-    while idom[cur] != _SOURCE:
-        cur = idom[cur]
-        chain.append(cur)
-    chain.reverse()
-    return tuple(chain)
-
-
-def critical_diffusion_nodes(instance: AuctionInstance, i: int) -> frozenset[int]:
-    return frozenset(critical_diffusion_sequence(instance, i))
-
-
-def critical_children(instance: AuctionInstance, i: int) -> frozenset[int]:
-    """All bidders for whom ``i`` is critical, including ``i`` itself."""
-    idom = _dominator_tree(instance)
-    if i not in idom:
-        raise Unqualified(i)
-    children: dict[int, list[int]] = {}
-    for node, parent in idom.items():
-        children.setdefault(parent, []).append(node)
-    out = set()
-    stack = [i]
-    while stack:
-        node = stack.pop()
-        out.add(node)
-        stack.extend(children.get(node, ()))
-    return frozenset(out)
 
 
 def all_critical_structures(instance: AuctionInstance) -> CriticalStructure:

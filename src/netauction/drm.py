@@ -10,7 +10,7 @@ a virtual reserve bid at the resale-revenue level ("drm-reserve").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 from .framework import (
@@ -53,40 +53,23 @@ class TooManyItems(AuctionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CdpOrdering:
-    """Bidders ranked by reported degree, descending; ties break to the
-    lower id.  Depends on neighbor reports only, never on valuations."""
-
-    ranked: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, instance: AuctionInstance, ids) -> "CdpOrdering":
-        pairs = sorted(
-            ((i, len(instance.reports[i].neighbors)) for i in ids),
-            key=lambda p: (-p[1], p[0]),
-        )
-        return cls(tuple(pairs))
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.ranked)
-
-
 def graph_exploration_cdp(
     residual_instance: AuctionInstance, frontier: Sequence[int]
 ) -> DistributorPartition:
     """Explore outward from the frontier, repeatedly sending the top half of
-    each newly discovered layer (by reported degree) to the candidate side
-    and the bottom half to the non-trading side.  Discovery follows only
-    non-traders' reported neighbors, so a bidder's own report never affects
-    her own classification beyond her rank."""
+    each newly discovered layer (by reported degree, ties to the lower id) to
+    the candidate side and the bottom half to the non-trading side.
+    Discovery follows only non-traders' reported neighbors, so a bidder's own
+    report never affects her own classification beyond her rank."""
     candidates: list[int] = []
     non_trading: set[int] = set()
     classified: set[int] = set()
 
     layer = sorted({i for i in frontier if i in residual_instance.reports})
     while layer:
-        ranked = CdpOrdering.of(residual_instance, layer).ids()
+        ranked = sorted(
+            layer, key=lambda i: (-len(residual_instance.reports[i].neighbors), i)
+        )
         cut = (len(ranked) + 1) // 2
         candidates.extend(ranked[:cut])
         non_trading.update(ranked[cut:])
@@ -116,7 +99,6 @@ def random_single_item_bdp(
     residual_instance: AuctionInstance,
     remaining: Bundle,
     candidates: Sequence[int],
-    non_trading: frozenset[int],
     pr: BoundPrice,
     rev: BoundPrice,
     *,
@@ -143,7 +125,6 @@ def greedy_bdp(
     residual_instance: AuctionInstance,
     remaining: Bundle,
     candidates: Sequence[int],
-    non_trading: frozenset[int],
     pr: BoundPrice,
     rev: BoundPrice,
     *,
@@ -183,19 +164,10 @@ CDPS = {"graph-exploration": graph_exploration_cdp, "trivial": trivial_cdp}
 BDPS = {"greedy": greedy_bdp, "random-single-item": random_single_item_bdp}
 
 
-def _idm_qualified(
+def _local_idm(
     market: AuctionInstance, item_value: Mapping[int, Money]
 ) -> SingleItemResult:
-    return idm_run(market, item_value, vstar_domain="qualified")[0]
-
-
-def _idm_firstnode(
-    market: AuctionInstance, item_value: Mapping[int, Money]
-) -> SingleItemResult:
-    return idm_run(market, item_value, vstar_domain="first-node")[0]
-
-
-SINGLE_ITEM = {"idm": _idm_qualified, "idm-firstnode": _idm_firstnode}
+    return idm_run(market, item_value)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +185,6 @@ def run_with_config_detailed(
     try:
         cdp = CDPS[config.cdp]
         bdp = BDPS[config.bdp]
-        mech = SINGLE_ITEM[config.single_item]
         pr_fn, rev_fn = PRICING[config.pricing]
     except KeyError as exc:
         raise AuctionError(f"unknown component name {exc}") from None
@@ -221,26 +192,12 @@ def run_with_config_detailed(
         instance,
         cdp,
         bdp,
-        mech,
+        _local_idm,
         pr_fn,
         rev_fn,
         rng=random.Random(config.rng_seed),
         reserve_bidder=config.reserve_bidder,
     )
-
-
-def drm_run(
-    instance: AuctionInstance,
-    *,
-    seed: int = 0,
-    reserve_bidder: bool = False,
-    bdp: str = "greedy",
-) -> Outcome:
-    """The dealer retail mechanism with default components."""
-    config = MechanismConfig(
-        bdp=bdp, reserve_bidder=reserve_bidder, rng_seed=seed
-    )
-    return run_with_config(instance, config)
 
 
 def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
@@ -274,10 +231,6 @@ def baseline_direct_second_price(
     return Outcome.from_maps(allocation, payment)
 
 
-def _drm(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
-    return run_with_config(instance, config)
-
-
 def _drm_random(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     return run_with_config(instance, replace(config, bdp="random-single-item"))
 
@@ -287,7 +240,7 @@ def _drm_reserve(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
 
 
 MECHANISMS: dict[str, Mechanism] = {
-    "drm": _drm,
+    "drm": run_with_config,
     "drm-random-bdp": _drm_random,
     "drm-reserve": _drm_reserve,
     "idm": idm_grand_bundle,

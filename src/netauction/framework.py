@@ -149,29 +149,23 @@ def drp_run(
     rev: BoundPrice,
     single_item_mech: SingleItemMech,
     *,
-    reach: frozenset[int] | None = None,
+    reach: frozenset[int],
     reserve_bidder: bool = False,
 ) -> DrpResult:
     """Run one distributor's resale attempt.
 
-    The distributor's invitees that only she can reach (``reach``, computed
-    from the residual graph if not supplied) form a local market where her
-    resale bundle is sold as a single item.  If the local proceeds reach the
-    bundle's fixed resale revenue she gets nothing, pays price minus revenue
-    (a non-positive amount: her dealer margin), and the local outcome stands;
-    otherwise the attempt is void and she buys the reserve bundle at its
-    price.  An empty resale bundle or an empty local market skips straight to
-    the reservation branch.
+    ``reach`` is the distributor's subtree in the residual graph's dominator
+    tree: she herself plus every bidder only she can reach.  Her invitees in
+    it form a local market where her resale bundle is sold as a single item.
+    If the local proceeds reach the bundle's fixed resale revenue she gets
+    nothing, pays price minus revenue (a non-positive amount: her dealer
+    margin), and the local outcome stands; otherwise the attempt is void and
+    she buys the reserve bundle at its price.  An empty resale bundle or an
+    empty local market skips straight to the reservation branch.
 
     ``reserve_bidder`` injects a virtual, never-winning bid equal to the
     resale revenue next to the local seller, flooring the local price.
     """
-    if reach is None:
-        reach = _candidate_reach(residual_instance, distributor)
-        if reach is None:
-            raise UnqualifiedDistributor(
-                f"distributor {distributor} is unreachable in the residual graph"
-            )
     locals_ = reach - {distributor}
     allocation = {j: 0 for j in reach}
     payment = {j: 0 for j in reach}
@@ -212,43 +206,9 @@ def drp_run(
     return DrpResult(distributor, allocation, payment, False, 0)
 
 
-def _candidate_reach(
-    residual_instance: AuctionInstance, distributor: int
-) -> frozenset[int] | None:
-    from .critical import Unqualified, critical_children
-
-    try:
-        return critical_children(residual_instance, distributor)
-    except Unqualified:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # The round loop
 # ---------------------------------------------------------------------------
-
-
-def dcaf_run(
-    instance: AuctionInstance,
-    cdp: Cdp,
-    bdp: Bdp,
-    single_item_mech: SingleItemMech,
-    pr_fn: PriceFn = price_fn,
-    rev_fn: PriceFn = resale_revenue_fn,
-    *,
-    rng: random.Random | int | None = None,
-    reserve_bidder: bool = False,
-) -> Outcome:
-    return dcaf_run_detailed(
-        instance,
-        cdp,
-        bdp,
-        single_item_mech,
-        pr_fn,
-        rev_fn,
-        rng=rng,
-        reserve_bidder=reserve_bidder,
-    ).outcome
 
 
 def dcaf_run_detailed(
@@ -283,8 +243,7 @@ def dcaf_run_detailed(
         tn_reports = [residual.reports[j] for j in sorted(partition.non_trading)]
         pr = lambda b: pr_fn(tn_reports, b)  # noqa: E731 - bound per round
         rev = lambda b: rev_fn(tn_reports, b)  # noqa: E731
-        tuples = bdp(residual, remaining, partition.candidates, partition.non_trading,
-                     pr, rev, rng=rng)
+        tuples = bdp(residual, remaining, partition.candidates, pr, rev, rng=rng)
         _check_tuples(tuples, remaining)
 
         structure = all_critical_structures(residual)
@@ -358,8 +317,3 @@ def _check_tuples(tuples: Sequence[BundleTuple], remaining: Bundle) -> None:
         if footprint & union:
             raise InvalidTuple(f"{tup} overlaps another distributor's bundles")
         union |= footprint
-
-
-def seller_revenue(outcome: Outcome) -> Money:
-    """Sum of all payments."""
-    return sum(outcome.payment.values())

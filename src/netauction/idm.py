@@ -14,9 +14,6 @@ from typing import Mapping
 from .critical import all_critical_structures
 from .model import AuctionInstance, Money, qualified_set
 
-VSTAR_DOMAINS = ("qualified", "first-node")
-
-
 @dataclass(frozen=True)
 class SingleItemResult:
     """Outcome of one local single-item market."""
@@ -39,22 +36,17 @@ class IdmTrace:
 def idm_run(
     local_instance: AuctionInstance,
     item_value: Mapping[int, Money],
-    *,
-    vstar_domain: str = "qualified",
 ) -> tuple[SingleItemResult, IdmTrace]:
     """Run the mechanism on one market.
 
     ``item_value`` maps every qualified bidder to her reported value for the
-    (single, abstract) item.  ``vstar_domain`` selects the pool the outside
-    offers ``v*`` are drawn from: all qualified bidders (default) or only the
-    first critical node's reach; the two differ only when the first node does
-    not cut off the whole market.
+    (single, abstract) item.  The outside offer ``v*`` of a node on the top
+    bidder's critical sequence is the best value among all qualified bidders
+    outside that node's reach.
 
     Ties for the top bidder break to the lowest id so runs are reproducible.
     An empty market is a no-sale result, not an error.
     """
-    if vstar_domain not in VSTAR_DOMAINS:
-        raise ValueError(f"vstar_domain must be one of {VSTAR_DOMAINS}")
     qualified = qualified_set(local_instance)
     zero_payments = {i: 0 for i in local_instance.reports}
     if not qualified:
@@ -71,13 +63,9 @@ def idm_run(
     sequence = structure.critical_nodes[top]
     children = structure.critical_children
 
-    if vstar_domain == "qualified":
-        domain = qualified
-    else:
-        domain = children[sequence[0]]
     vstar: dict[int, Money] = {}
     for i in sequence:
-        outside = domain - children[i]
+        outside = qualified - children[i]
         vstar[i] = max((item_value[j] for j in outside), default=0)
 
     winner = top

@@ -227,12 +227,6 @@ class BidderReport:
     valuation: Valuation
     neighbors: frozenset[int]
 
-    @classmethod
-    def make(
-        cls, bidder_id: int, valuation: Valuation, neighbors: Iterable[int] = ()
-    ) -> "BidderReport":
-        return cls(bidder_id, valuation, frozenset(neighbors))
-
     def with_neighbors(self, neighbors: Iterable[int]) -> "BidderReport":
         return replace(self, neighbors=frozenset(neighbors))
 
@@ -257,12 +251,6 @@ class AuctionInstance:
     @property
     def bidders(self) -> frozenset[int]:
         return frozenset(self.reports)
-
-    def report(self, bidder: int) -> BidderReport:
-        try:
-            return self.reports[bidder]
-        except KeyError:
-            raise UnknownBidder(f"no report for bidder {bidder}") from None
 
     def true_report(self, bidder: int) -> BidderReport:
         if self.ground_truth is None:
@@ -300,11 +288,6 @@ class Outcome:
     ) -> "Outcome":
         return cls(dict(allocation), dict(payment), sum(payment.values()))
 
-    @classmethod
-    def empty(cls, bidders: Iterable[int]) -> "Outcome":
-        ids = list(bidders)
-        return cls({i: 0 for i in ids}, {i: 0 for i in ids}, 0)
-
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -312,7 +295,6 @@ class MechanismConfig:
 
     cdp: str = "graph-exploration"
     bdp: str = "greedy"
-    single_item: str = "idm"
     pricing: str = "second-first"
     reserve_bidder: bool = False
     rng_seed: int = 0

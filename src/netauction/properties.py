@@ -11,11 +11,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .framework import BundleTuple, DistributorPartition
+from .drm import graph_exploration_cdp
+from .framework import (
+    Bdp,
+    Cdp,
+    DistributorPartition,
+    SingleItemMech,
+    price_fn,
+    resale_revenue_fn,
+)
 from .generate import monotone_tables, network_instance
-from .idm import SingleItemResult
 from .model import (
     AuctionInstance,
     BidderReport,
@@ -28,11 +35,6 @@ from .model import (
 )
 
 MechanismFn = Callable[[AuctionInstance], Outcome]
-CdpFn = Callable[[AuctionInstance, Sequence[int]], DistributorPartition]
-BdpFn = Callable[..., tuple[BundleTuple, ...]]
-SingleItemFn = Callable[[AuctionInstance, Mapping[int, Money]], SingleItemResult]
-
-PROPERTIES = ("IR", "IC", "WBB", "EPI4NW", "CDC", "RDM", "RC")
 
 
 @dataclass(frozen=True)
@@ -67,19 +69,12 @@ class Violation:
     context: tuple[BidderReport, ...] = ()
     note: str = ""
 
-    def deviated_instance(self) -> AuctionInstance:
-        inst = self.instance.truthful()
-        for rep in self.context:
-            inst = inst.with_report(rep)
-        if self.deviation is not None:
-            inst = inst.with_report(self.deviation)
-        return inst
-
     def base_instance(self) -> AuctionInstance:
-        inst = self.instance.truthful()
-        for rep in self.context:
-            inst = inst.with_report(rep)
-        return inst
+        return _with_reports(self.instance.truthful(), self.context)
+
+    def deviated_instance(self) -> AuctionInstance:
+        base = self.base_instance()
+        return base if self.deviation is None else base.with_report(self.deviation)
 
 
 @dataclass
@@ -123,6 +118,14 @@ def describe_violation(v: Violation) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _with_reports(
+    instance: AuctionInstance, reports: Iterable[BidderReport]
+) -> AuctionInstance:
+    for rep in reports:
+        instance = instance.with_report(rep)
+    return instance
+
+
 def _subsets(items: frozenset[int]) -> list[frozenset[int]]:
     ordered = sorted(items)
     return [
@@ -130,6 +133,16 @@ def _subsets(items: frozenset[int]) -> list[frozenset[int]]:
         for r in range(len(ordered) + 1)
         for c in itertools.combinations(ordered, r)
     ]
+
+
+def _nested_pairs(
+    subs: list[frozenset[int]],
+) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """Every strictly nested (smaller, larger) pair of ``subs``."""
+    for a, b in itertools.combinations(subs, 2):
+        lo, hi = (a, b) if a <= b else (b, a)
+        if lo < hi:
+            yield lo, hi
 
 
 def _unilateral_deviations(
@@ -193,6 +206,52 @@ def _others_contexts(
 # ---------------------------------------------------------------------------
 
 
+def _deviation_cases(
+    prop: str,
+    mechanism: MechanismFn,
+    instances: Iterable[AuctionInstance],
+    space: DeviationSpace,
+) -> CheckResult:
+    """The sweep behind :func:`check_ir` and :func:`check_ic`: every
+    deviation of every qualified bidder, under the truthful profile of the
+    others and each sampled profile of theirs.
+
+    IR varies the invitation report only and flags negative utility.  IC
+    varies the whole report and flags a strict gain over truth-telling,
+    which costs one more mechanism call (and case) per profile.
+    """
+    ic = prop == "IC"
+    rng = random.Random(space.seed)
+    result = CheckResult(prop, "exhaustive")
+    for inst in instances:
+        result.instances += 1
+        truthful = inst.truthful()
+        for i in sorted(qualified_set(truthful)):
+            true_rep = truthful.reports[i]
+            if ic:
+                devs, clipped = _unilateral_deviations(true_rep, inst.m, space, rng)
+            else:
+                devs, clipped = _neighbor_deviations(true_rep, space, rng)
+            result.budget_exceeded |= clipped
+            for ctx in _others_contexts(inst, i, space, rng):
+                base = _with_reports(truthful, ctx)
+                bar = 0
+                if ic:
+                    result.cases += 1
+                    bar = utility(true_rep, mechanism(base), i)
+                for dev in devs:
+                    outcome = mechanism(base.with_report(dev))
+                    result.cases += 1
+                    delta = utility(true_rep, outcome, i) - bar
+                    if (delta > 0) if ic else (delta < 0):
+                        result.violations.append(
+                            Violation(prop, inst, i, dev, delta, ctx)
+                        )
+    if result.budget_exceeded or space.others_budget > 0:
+        result.scope = "sampled"
+    return result
+
+
 def check_ir(
     mechanism: MechanismFn,
     instances: Iterable[AuctionInstance],
@@ -201,31 +260,7 @@ def check_ir(
     """Truthful valuation plus any invitation subset never yields negative
     utility, under the truthful profile of others and under sampled
     others' deviation profiles."""
-    rng = random.Random(space.seed)
-    result = CheckResult("IR", "exhaustive")
-    for inst in instances:
-        result.instances += 1
-        truthful = inst.truthful()
-        reachable = qualified_set(truthful)
-        for i in sorted(reachable):
-            true_rep = truthful.reports[i]
-            devs, clipped = _neighbor_deviations(true_rep, space, rng)
-            result.budget_exceeded |= clipped
-            for ctx in _others_contexts(inst, i, space, rng):
-                base = truthful
-                for rep in ctx:
-                    base = base.with_report(rep)
-                for dev in devs:
-                    outcome = mechanism(base.with_report(dev))
-                    result.cases += 1
-                    u = utility(true_rep, outcome, i)
-                    if u < 0:
-                        result.violations.append(
-                            Violation("IR", inst, i, dev, u, ctx)
-                        )
-    if result.budget_exceeded or space.others_budget > 0:
-        result.scope = "sampled"
-    return result
+    return _deviation_cases("IR", mechanism, instances, space)
 
 
 def check_ic(
@@ -235,33 +270,7 @@ def check_ic(
 ) -> CheckResult:
     """No unilateral misreport (valuation table and/or invitation subset)
     strictly beats truth-telling, others held fixed."""
-    rng = random.Random(space.seed)
-    result = CheckResult("IC", "exhaustive")
-    for inst in instances:
-        result.instances += 1
-        truthful = inst.truthful()
-        reachable = qualified_set(truthful)
-        for i in sorted(reachable):
-            true_rep = truthful.reports[i]
-            devs, clipped = _unilateral_deviations(true_rep, inst.m, space, rng)
-            result.budget_exceeded |= clipped
-            for ctx in _others_contexts(inst, i, space, rng):
-                base = truthful
-                for rep in ctx:
-                    base = base.with_report(rep)
-                result.cases += 1
-                u_truth = utility(true_rep, mechanism(base), i)
-                for dev in devs:
-                    outcome = mechanism(base.with_report(dev))
-                    result.cases += 1
-                    gain = utility(true_rep, outcome, i) - u_truth
-                    if gain > 0:
-                        result.violations.append(
-                            Violation("IC", inst, i, dev, gain, ctx)
-                        )
-    if result.budget_exceeded or space.others_budget > 0:
-        result.scope = "sampled"
-    return result
+    return _deviation_cases("IC", mechanism, instances, space)
 
 
 def check_wbb(
@@ -302,7 +311,7 @@ def find_epi4nw_witness(
 
 
 def check_cdp_consistency(
-    cdp: CdpFn,
+    cdp: Cdp,
     networks: Iterable[tuple[frozenset[int], dict[int, frozenset[int]]]],
 ) -> CheckResult:
     """Exhaustive unilateral invitation perturbation against the three
@@ -347,10 +356,7 @@ def check_cdp_consistency(
                             note="left the non-trading side by deviating",
                         )
                     )
-            for small, big in itertools.combinations(subs, 2):
-                lo, hi = (small, big) if small <= big else (big, small)
-                if not lo <= hi or lo == hi:
-                    continue
+            for lo, hi in _nested_pairs(subs):
                 out_lo, out_hi = outputs[lo], outputs[hi]
                 if i in out_lo.candidates and i not in out_hi.candidates:
                     result.violations.append(
@@ -380,37 +386,22 @@ def check_cdp_consistency(
 # ---------------------------------------------------------------------------
 
 
-def check_bdp_locality(
-    bdp: BdpFn,
-    instances: Iterable[AuctionInstance],
-    cdp: CdpFn | None = None,
-    *,
-    pr_fn=None,
-    rev_fn=None,
-) -> CheckResult:
+def check_bdp_locality(bdp: Bdp, instances: Iterable[AuctionInstance]) -> CheckResult:
     """A candidate's invitation report never moves any bundle tuple: with the
-    split, pool, and prices held fixed, every subset report of every candidate
-    yields the identical tuple sequence."""
-    from .drm import graph_exploration_cdp
-    from .framework import price_fn, resale_revenue_fn
-
-    cdp = cdp or graph_exploration_cdp
-    pr_fn = pr_fn or price_fn
-    rev_fn = rev_fn or resale_revenue_fn
+    exploration split, pool, and prices held fixed, every subset report of
+    every candidate yields the identical tuple sequence."""
     result = CheckResult("RDM", "exhaustive")
     for inst in instances:
         result.instances += 1
         frontier = tuple(sorted(inst.seller_neighbors))
         if not frontier:
             continue
-        partition = cdp(inst, frontier)
+        partition = graph_exploration_cdp(inst, frontier)
         tn_reports = [inst.reports[j] for j in sorted(partition.non_trading)]
-        pr = lambda b: pr_fn(tn_reports, b)  # noqa: E731
-        rev = lambda b: rev_fn(tn_reports, b)  # noqa: E731
+        pr = lambda b: price_fn(tn_reports, b)  # noqa: E731
+        rev = lambda b: resale_revenue_fn(tn_reports, b)  # noqa: E731
         pool = full_bundle(inst.m)
-        baseline = bdp(
-            inst, pool, partition.candidates, partition.non_trading, pr, rev, rng=0
-        )
+        baseline = bdp(inst, pool, partition.candidates, pr, rev, rng=0)
         result.cases += 1
         for i in partition.candidates:
             rep = inst.reports[i]
@@ -419,7 +410,6 @@ def check_bdp_locality(
                     inst.with_report(rep.with_neighbors(sub)),
                     pool,
                     partition.candidates,
-                    partition.non_trading,
                     pr,
                     rev,
                     rng=0,
@@ -436,16 +426,11 @@ def check_bdp_locality(
 
 
 def check_rdm_end_to_end(
-    mechanism: MechanismFn,
-    instances: Iterable[AuctionInstance],
-    cdp: CdpFn | None = None,
+    mechanism: MechanismFn, instances: Iterable[AuctionInstance]
 ) -> CheckResult:
     """Literal utility form of resale diffusion monotonicity: a first-round
-    candidate's true utility is non-decreasing in her invitation report.
-    Checked end to end through the whole mechanism."""
-    from .drm import graph_exploration_cdp
-
-    cdp = cdp or graph_exploration_cdp
+    candidate of the exploration split has true utility non-decreasing in
+    her invitation report.  Checked end to end through the whole mechanism."""
     result = CheckResult("RDM", "exhaustive")
     for inst in instances:
         result.instances += 1
@@ -453,7 +438,7 @@ def check_rdm_end_to_end(
         frontier = tuple(sorted(inst.seller_neighbors))
         if not frontier:
             continue
-        candidates = cdp(truthful, frontier).candidates
+        candidates = graph_exploration_cdp(truthful, frontier).candidates
         for i in candidates:
             true_rep = truthful.reports[i]
             subs = _subsets(true_rep.neighbors)
@@ -462,10 +447,7 @@ def check_rdm_end_to_end(
                 outcome = mechanism(truthful.with_report(true_rep.with_neighbors(sub)))
                 result.cases += 1
                 utilities[sub] = utility(true_rep, outcome, i)
-            for small, big in itertools.combinations(subs, 2):
-                lo, hi = (small, big) if small <= big else (big, small)
-                if not lo <= hi or lo == hi:
-                    continue
+            for lo, hi in _nested_pairs(subs):
                 if utilities[lo] > utilities[hi]:
                     result.violations.append(
                         Violation(
@@ -483,7 +465,7 @@ def check_rdm_end_to_end(
 
 
 def check_revenue_consistency(
-    single_item_mech: SingleItemFn,
+    single_item_mech: SingleItemMech,
     markets: Iterable[AuctionInstance],
     rev_grid: Sequence[Money],
     space: DeviationSpace = DeviationSpace(),

@@ -115,7 +115,6 @@ def degree_ordered_greedy_bdp(
     residual_instance: AuctionInstance,
     remaining: int,
     candidates: Sequence[int],
-    non_trading: frozenset[int],
     pr,
     rev,
     *,

@@ -20,12 +20,12 @@ import time
 
 import pytest
 
-from netauction.critical import critical_diffusion_nodes, critical_nodes_by_removal
+from netauction.critical import all_critical_structures, critical_nodes_by_removal
 from netauction.drm import (
-    drm_run,
     graph_exploration_cdp,
     greedy_bdp,
     idm_grand_bundle,
+    run_with_config,
     run_with_config_detailed,
 )
 from netauction.framework import BundleTuple, dcaf_run_detailed
@@ -71,7 +71,7 @@ def _report(num, name, ok, started, limit, extra=""):
 
 
 def drm(instance):
-    return drm_run(instance)
+    return run_with_config(instance, MechanismConfig())
 
 
 def drm_detailed(instance):
@@ -101,8 +101,9 @@ def test_criterion_1_critical_node_oracle_equivalence():
         seller = {i for i in ids if rng.random() < 0.4} or {rng.choice(ids)}
         edges = {i: {j for j in ids if j != i and rng.random() < 0.25} for i in ids}
         inst = build_instance(1, seller, edges)
+        nodes = all_critical_structures(inst).critical_nodes
         for i in qualified_set(inst):
-            if critical_diffusion_nodes(inst, i) != critical_nodes_by_removal(inst, i):
+            if set(nodes[i]) != critical_nodes_by_removal(inst, i):
                 mismatches += 1
     ok = mismatches == 0
     assert _report(1, "critical-node oracle", ok, started, 10,
@@ -418,7 +419,7 @@ def test_criterion_9_figure_partial_narrative():
     pr = {0: 0, a: 3, b: 7, ab: 11}.__getitem__
     rev = {0: 0, a: 3, b: 9, ab: 11}.__getitem__
     inst = build_instance(2, {1}, {1: set()})  # zero-valuation candidate
-    tuples = greedy_bdp(inst, ab, (1,), frozenset(), pr, rev)
+    tuples = greedy_bdp(inst, ab, (1,), pr, rev)
     ok = tuples == (BundleTuple(b, 0),)
     assert _report(
         9, "two-item narrative partial", ok, started, 10,

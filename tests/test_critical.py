@@ -7,9 +7,6 @@ import pytest
 from netauction.critical import (
     Unqualified,
     all_critical_structures,
-    critical_children,
-    critical_diffusion_nodes,
-    critical_diffusion_sequence,
     critical_nodes_by_removal,
 )
 from netauction.model import qualified_set, restrict_instance
@@ -44,37 +41,33 @@ def random_instance(rng, n):
 
 
 def test_chain_nodes_are_all_critical():
-    inst = line(3)
-    assert critical_diffusion_nodes(inst, 3) == {1, 2, 3}
-    assert critical_diffusion_sequence(inst, 3) == (1, 2, 3)
+    assert all_critical_structures(line(3)).critical_nodes[3] == (1, 2, 3)
 
 
 def test_diamond_shares_only_the_target():
-    inst = diamond()
-    assert critical_diffusion_nodes(inst, 3) == {3}
-    assert critical_diffusion_sequence(inst, 3) == (3,)
+    assert all_critical_structures(diamond()).critical_nodes[3] == (3,)
 
 
 def test_branch_fixture_nodes_and_children():
-    inst = branch()
-    assert critical_diffusion_nodes(inst, 3) == {1, 2, 3}
-    assert critical_diffusion_sequence(inst, 3) == (1, 2, 3)
-    assert critical_children(inst, 1) == {1, 2, 3, 5}
-    assert critical_children(inst, 4) == {4}
+    structure = all_critical_structures(branch())
+    assert structure.critical_nodes[3] == (1, 2, 3)
+    assert structure.critical_children[1] == {1, 2, 3, 5}
+    assert structure.critical_children[4] == {4}
 
 
 def test_chain_children():
-    inst = line(3)
-    assert critical_children(inst, 1) == {1, 2, 3}
-    assert critical_children(inst, 2) == {2, 3}
+    structure = all_critical_structures(line(3))
+    assert structure.critical_children[1] == {1, 2, 3}
+    assert structure.critical_children[2] == {2, 3}
 
 
 def test_unqualified_target_raises():
     inst = build_instance(1, {1}, {1: set(), 2: set()})
+    structure = all_critical_structures(inst)
+    assert 2 not in structure.critical_nodes
+    assert 2 not in structure.critical_children
     with pytest.raises(Unqualified):
-        critical_diffusion_nodes(inst, 2)
-    with pytest.raises(Unqualified):
-        critical_children(inst, 2)
+        critical_nodes_by_removal(inst, 2)
 
 
 def test_batch_matches_single_queries_on_line():
@@ -82,6 +75,8 @@ def test_batch_matches_single_queries_on_line():
     structure = all_critical_structures(inst)
     assert structure.critical_nodes == {1: (1,), 2: (1, 2), 3: (1, 2, 3)}
     assert structure.critical_children[1] == {1, 2, 3}
+    for i, seq in structure.critical_nodes.items():
+        assert set(seq) == critical_nodes_by_removal(inst, i)
 
 
 def test_batch_empty_when_nobody_qualifies():
@@ -95,18 +90,18 @@ def test_oracle_equivalence_on_random_digraphs():
     rng = random.Random(42)
     for _ in range(120):
         inst = random_instance(rng, rng.randint(1, 10))
+        nodes = all_critical_structures(inst).critical_nodes
         for i in qualified_set(inst):
-            assert critical_diffusion_nodes(inst, i) == critical_nodes_by_removal(
-                inst, i
-            )
+            assert set(nodes[i]) == critical_nodes_by_removal(inst, i)
 
 
 def test_sequence_order_matches_pairwise_membership():
     rng = random.Random(7)
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 8))
+        nodes = all_critical_structures(inst).critical_nodes
         for i in qualified_set(inst):
-            seq = critical_diffusion_sequence(inst, i)
+            seq = nodes[i]
             assert seq[-1] == i
             for earlier_pos, earlier in enumerate(seq):
                 for later in seq[earlier_pos + 1 :]:
@@ -141,4 +136,4 @@ def test_restriction_idempotence():
         for i in qualified_set(inst):
             reach = structure.critical_children[i]
             sub = restrict_instance(inst, reach, {i})
-            assert critical_children(sub, i) == reach
+            assert all_critical_structures(sub).critical_children[i] == reach

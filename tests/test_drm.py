@@ -5,14 +5,13 @@ import random
 import pytest
 
 from netauction.drm import (
-    CdpOrdering,
     TooManyItems,
     baseline_direct_second_price,
-    drm_run,
     get_mechanism,
     graph_exploration_cdp,
     greedy_bdp,
     random_single_item_bdp,
+    run_with_config,
     trivial_cdp,
 )
 from netauction.framework import BundleTuple
@@ -29,6 +28,10 @@ from netauction.model import (
 )
 
 from test_model import build_instance
+
+
+def drm(instance):
+    return run_with_config(instance, MechanismConfig())
 
 
 def exploration_example():
@@ -69,12 +72,6 @@ def test_trivial_cdp_takes_the_whole_frontier():
     assert part.non_trading == frozenset()
 
 
-def test_ordering_is_degree_desc_then_id():
-    inst = exploration_example()
-    ranking = CdpOrdering.of(inst, [1, 2, 3, 4])
-    assert ranking.ranked == ((1, 3), (2, 2), (3, 2), (4, 0))
-
-
 def test_split_is_valuation_blind():
     inst = exploration_example()
     baseline = graph_exploration_cdp(inst, (1, 2, 3, 4))
@@ -109,21 +106,21 @@ def figure_style_pricing():
 def test_greedy_zero_value_candidate_picks_the_margin_bundle():
     pr, rev = figure_style_pricing()
     inst = build_instance(2, {1}, {1: set()})  # zero valuation everywhere
-    tuples = greedy_bdp(inst, 0b11, (1,), frozenset(), pr, rev)
+    tuples = greedy_bdp(inst, 0b11, (1,), pr, rev)
     assert tuples == (BundleTuple(0b10, 0),)  # resale {b}, reserve empty
 
 
 def test_greedy_full_pool_when_prices_vanish():
     table = Valuation(2, (0, 2, 3, 6))  # strictly increasing
     inst = build_instance(2, {1}, {1: set()}, {1: table})
-    tuples = greedy_bdp(inst, 0b11, (1,), frozenset(), lambda b: 0, lambda b: 0)
+    tuples = greedy_bdp(inst, 0b11, (1,), lambda b: 0, lambda b: 0)
     assert tuples == (BundleTuple(0b11, 0b11),)
 
 
 def test_greedy_tie_prefers_fewer_items():
     table = Valuation(2, (0, 4, 0, 4))  # the pair adds nothing over item 1
     inst = build_instance(2, {1}, {1: set()}, {1: table})
-    tuples = greedy_bdp(inst, 0b11, (1,), frozenset(), lambda b: 0, lambda b: 0)
+    tuples = greedy_bdp(inst, 0b11, (1,), lambda b: 0, lambda b: 0)
     assert tuples == (BundleTuple(0b01, 0b01),)
 
 
@@ -138,7 +135,7 @@ def test_greedy_candidates_never_overlap():
             m, {1, 2, 3}, {1: set(), 2: set(), 3: set()}, tables
         )
         tuples = greedy_bdp(
-            inst, full_bundle(m), (1, 2, 3), frozenset(), lambda b: 0, lambda b: 0
+            inst, full_bundle(m), (1, 2, 3), lambda b: 0, lambda b: 0
         )
         taken = 0
         for tup in tuples:
@@ -150,17 +147,17 @@ def test_greedy_rejects_oversized_pools():
     inst = build_instance(13, {1}, {1: set()})
     with pytest.raises(TooManyItems):
         greedy_bdp(
-            inst, full_bundle(13), (1,), frozenset(), lambda b: 0, lambda b: 0
+            inst, full_bundle(13), (1,), lambda b: 0, lambda b: 0
         )
 
 
 def test_random_bdp_distinct_items_and_determinism():
     inst = build_instance(2, {1, 2}, {1: set(), 2: set()})
     first = random_single_item_bdp(
-        inst, 0b11, (1, 2), frozenset(), lambda b: 0, lambda b: 0, rng=7
+        inst, 0b11, (1, 2), lambda b: 0, lambda b: 0, rng=7
     )
     again = random_single_item_bdp(
-        inst, 0b11, (1, 2), frozenset(), lambda b: 0, lambda b: 0, rng=7
+        inst, 0b11, (1, 2), lambda b: 0, lambda b: 0, rng=7
     )
     assert first == again
     masks = [t.resale for t in first]
@@ -173,7 +170,7 @@ def test_random_bdp_distinct_items_and_determinism():
 def test_random_bdp_empty_pool_gives_empty_tuples():
     inst = build_instance(2, {1, 2}, {1: set(), 2: set()})
     tuples = random_single_item_bdp(
-        inst, 0, (1, 2), frozenset(), lambda b: 0, lambda b: 0, rng=7
+        inst, 0, (1, 2), lambda b: 0, lambda b: 0, rng=7
     )
     assert tuples == (BundleTuple(0, 0), BundleTuple(0, 0))
 
@@ -184,19 +181,19 @@ def test_random_bdp_empty_pool_gives_empty_tuples():
 
 
 def test_drm_empty_network():
-    outcome = drm_run(build_instance(2, set(), {}))
+    outcome = drm(build_instance(2, set(), {}))
     assert outcome.seller_revenue == 0
 
 
 def test_drm_single_neighbor_reserves_free():
     inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
-    outcome = drm_run(inst)
+    outcome = drm(inst)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
 
 
 def test_drm_branch_composition():
-    outcome = drm_run(embedded_branch_fixture())
+    outcome = drm(embedded_branch_fixture())
     assert outcome.payment[2] == 6
     assert outcome.payment[1] == -4
     assert outcome.seller_revenue == 2
@@ -242,6 +239,6 @@ def test_baseline_direct_second_price():
 
 def test_drm_with_no_items_touches_nobody():
     inst = build_instance(0, {1}, {1: {2}, 2: set()})
-    outcome = drm_run(inst)
+    outcome = drm(inst)
     assert all(b == 0 for b in outcome.allocation.values())
     assert outcome.seller_revenue == 0

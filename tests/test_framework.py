@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from netauction.critical import all_critical_structures
 from netauction.drm import (
     graph_exploration_cdp,
     greedy_bdp,
@@ -11,13 +12,13 @@ from netauction.drm import (
 )
 from netauction.framework import (
     BundleTuple,
+    DistributorPartition,
     InvalidTuple,
-    dcaf_run,
+    UnqualifiedDistributor,
     dcaf_run_detailed,
     drp_run,
     price_fn,
     resale_revenue_fn,
-    seller_revenue,
 )
 from netauction.generate import (
     FamilySpec,
@@ -39,6 +40,19 @@ from test_model import build_instance
 
 def idm_mech(market, item_value):
     return idm_run(market, item_value)[0]
+
+
+def engine_outcome(instance, cdp, bdp, single_item_mech):
+    return dcaf_run_detailed(instance, cdp, bdp, single_item_mech).outcome
+
+
+def resell(instance, distributor, bundle_tuple, pr, rev, **kwargs):
+    """One resale attempt with the reach the round engine would hand the
+    distributor: her dominator subtree."""
+    reach = all_critical_structures(instance).critical_children[distributor]
+    return drp_run(
+        instance, distributor, bundle_tuple, pr, rev, idm_mech, reach=reach, **kwargs
+    )
 
 
 def tn_reports(values, m=1):
@@ -117,7 +131,7 @@ def test_resale_success_branch():
     inst = dealer_market()
     pr = lambda b: 1 if b else 0
     rev = lambda b: 2 if b else 0
-    result = drp_run(inst, 1, BundleTuple(1, 0), pr, rev, idm_mech)
+    result = resell(inst, 1, BundleTuple(1, 0), pr, rev)
     # local market {2, 3}: bidder 3 outbids 2 and pays the second price 5
     assert result.resold
     assert result.local_revenue == 5
@@ -132,7 +146,7 @@ def test_resale_failure_falls_to_reservation():
     inst = dealer_market()
     pr = lambda b: 7 if b else 0
     rev = lambda b: 9 if b else 0
-    result = drp_run(inst, 1, BundleTuple(1, 1), pr, rev, idm_mech)
+    result = resell(inst, 1, BundleTuple(1, 1), pr, rev)
     assert not result.resold
     assert result.allocation[1] == 1
     assert result.payment[1] == 7
@@ -145,7 +159,7 @@ def test_no_reach_reserves_quietly():
     )
     pr = lambda b: 0
     rev = lambda b: 0
-    result = drp_run(inst, 6, BundleTuple(1, 1), pr, rev, idm_mech)
+    result = resell(inst, 6, BundleTuple(1, 1), pr, rev)
     assert not result.resold
     assert result.allocation[6] == 1
     assert result.payment[6] == 0
@@ -153,7 +167,7 @@ def test_no_reach_reserves_quietly():
 
 def test_empty_tuple_is_all_zero():
     inst = dealer_market()
-    result = drp_run(inst, 1, BundleTuple(0, 0), lambda b: 0, lambda b: 0, idm_mech)
+    result = resell(inst, 1, BundleTuple(0, 0), lambda b: 0, lambda b: 0)
     assert result.allocation == {1: 0, 2: 0, 3: 0}
     assert result.payment == {1: 0, 2: 0, 3: 0}
 
@@ -166,11 +180,9 @@ def test_reserve_bidder_floors_the_local_price():
     )
     pr = lambda b: 3 if b else 0
     rev = lambda b: 3 if b else 0
-    plain = drp_run(inst, 2, BundleTuple(1, 1), pr, rev, idm_mech)
+    plain = resell(inst, 2, BundleTuple(1, 1), pr, rev)
     assert not plain.resold  # alone, the invitee would pay 0 < 3
-    floored = drp_run(
-        inst, 2, BundleTuple(1, 1), pr, rev, idm_mech, reserve_bidder=True
-    )
+    floored = resell(inst, 2, BundleTuple(1, 1), pr, rev, reserve_bidder=True)
     assert floored.resold
     assert floored.allocation[7] == 1
     assert floored.payment[7] == 3
@@ -184,9 +196,7 @@ def test_reserve_bidder_winning_means_no_sale():
     )
     pr = lambda b: 3 if b else 0
     rev = lambda b: 5 if b else 0  # nobody real can reach this
-    result = drp_run(
-        inst, 2, BundleTuple(1, 1), pr, rev, idm_mech, reserve_bidder=True
-    )
+    result = resell(inst, 2, BundleTuple(1, 1), pr, rev, reserve_bidder=True)
     assert not result.resold
     assert result.allocation[2] == 1
     assert result.payment[2] == 3
@@ -199,14 +209,14 @@ def test_reserve_bidder_winning_means_no_sale():
 
 def test_empty_network_empty_outcome():
     inst = build_instance(2, set(), {})
-    outcome = dcaf_run(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
+    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
     assert outcome.seller_revenue == 0
     assert all(b == 0 for b in outcome.allocation.values())
 
 
 def test_single_neighbor_reserves_at_zero():
     inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
-    outcome = dcaf_run(inst, trivial_cdp, greedy_bdp, idm_mech)
+    outcome = engine_outcome(inst, trivial_cdp, greedy_bdp, idm_mech)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
     assert outcome.seller_revenue == 0
@@ -237,7 +247,7 @@ def test_two_round_showcase_structure():
 
 
 def test_embedded_branch_reproduces_the_market():
-    outcome = dcaf_run(
+    outcome = engine_outcome(
         embedded_branch_fixture(), graph_exploration_cdp, greedy_bdp, idm_mech
     )
     assert outcome.allocation[2] == 1
@@ -262,17 +272,17 @@ def test_rounds_conserve_everything_on_random_corpus():
             removed_so_far |= state.removed
             assert state.removed  # progress every round
         assert len(run.rounds) <= len(inst.reports)
-        assert seller_revenue(run.outcome) == run.outcome.seller_revenue
+        assert sum(run.outcome.payment.values()) == run.outcome.seller_revenue
 
 
 def test_overlapping_tuples_rejected():
     inst = dealer_market()
 
-    def clashing_bdp(instance, remaining, candidates, non_trading, pr, rev, rng=None):
+    def clashing_bdp(instance, remaining, candidates, pr, rev, rng=None):
         return tuple(BundleTuple(remaining, remaining) for _ in candidates)
 
     with pytest.raises(InvalidTuple):
-        dcaf_run(
+        engine_outcome(
             build_instance(
                 1, {1, 2}, {1: set(), 2: set(), 3: set()},
                 {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
@@ -288,14 +298,21 @@ def test_unqualified_bidders_untouched_regardless_of_reports():
         1, {1}, {1: set(), 2: {3}, 3: set()},
         {2: Valuation(1, (0, 9)), 3: Valuation(1, (0, 9))},
     )
-    outcome = dcaf_run(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
+    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
     assert outcome.allocation[2] == outcome.allocation[3] == 0
     assert outcome.payment[2] == outcome.payment[3] == 0
 
 
 def test_unqualified_distributor_rejected():
-    from netauction.framework import UnqualifiedDistributor
+    # Bidder 2 is in the residual instance but nobody invites her, so she
+    # has no dominator subtree; a split that names her is unsound.
+    inst = build_instance(
+        1, {1}, {1: set(), 2: set()},
+        {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
+    )
 
-    inst = dealer_market()
-    with pytest.raises(UnqualifiedDistributor):
-        drp_run(inst, 9, BundleTuple(1, 1), lambda b: 0, lambda b: 0, idm_mech)
+    def unreachable_cdp(residual, frontier):
+        return DistributorPartition((2,), frozenset())
+
+    with pytest.raises(UnqualifiedDistributor, match="candidate 2 is unreachable"):
+        dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, idm_mech)

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from netauction.generate import branch_market_fixture, line_market_fixture, scalar_market
 from netauction.idm import idm_run
 from netauction.model import qualified_set
@@ -56,23 +54,6 @@ def test_empty_market_is_no_sale():
     assert result.winner is None
     assert all(p == 0 for p in result.payments.values())
     assert result.revenue == 0
-
-
-def test_vstar_domain_variants_differ_exactly_at_the_first_node():
-    inst = branch_market_fixture()
-    wide, wide_trace = idm_run(inst, values_of(inst), vstar_domain="qualified")
-    narrow, narrow_trace = idm_run(inst, values_of(inst), vstar_domain="first-node")
-    # bidder 4 sits outside the first node's reach; only v*_1 sees her
-    assert wide_trace.vstar[1] == 2
-    assert narrow_trace.vstar[1] == 0
-    assert wide_trace.vstar[2] == narrow_trace.vstar[2] == 6
-    assert narrow.revenue == 0
-
-
-def test_rejects_unknown_variant():
-    inst = line_market_fixture()
-    with pytest.raises(ValueError):
-        idm_run(inst, values_of(inst), vstar_domain="bogus")
 
 
 def test_revenue_identity_and_signs_on_random_markets():

@@ -7,10 +7,10 @@ import pytest
 
 from netauction.drm import (
     baseline_direct_second_price,
-    drm_run,
     graph_exploration_cdp,
     greedy_bdp,
     idm_grand_bundle,
+    run_with_config,
     run_with_config_detailed,
     trivial_cdp,
 )
@@ -53,7 +53,7 @@ from test_model import build_instance
 
 
 def drm(instance):
-    return drm_run(instance)
+    return run_with_config(instance, MechanismConfig())
 
 
 def idm_standalone(instance):
