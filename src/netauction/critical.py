@@ -11,6 +11,9 @@ removal-reachability definition is kept as an independent oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .model import AuctionError, AuctionInstance, qualified_set
 
@@ -31,38 +34,40 @@ class CriticalStructure:
     ``critical_nodes[i]`` lists ``i``'s critical diffusion nodes so that each
     entry is critical for every later one, ending at ``i`` itself;
     ``critical_children[i]`` is every bidder ``i`` is critical for,
-    ``i`` included (her dominator subtree).
+    ``i`` included (her dominator subtree).  The keys of either mapping are
+    exactly the qualified bidders, in ascending order.  Both mappings are
+    read-only: one structure is shared by every caller that asks about the
+    same invitation graph.
     """
 
-    critical_nodes: dict[int, tuple[int, ...]]
-    critical_children: dict[int, frozenset[int]]
+    critical_nodes: Mapping[int, tuple[int, ...]]
+    critical_children: Mapping[int, frozenset[int]]
 
 
-def _dominator_tree(instance: AuctionInstance) -> dict[int, int]:
-    """Immediate dominators for every qualified bidder, seller as source.
+def _dominator_tree(
+    seller_neighbors: frozenset[int], neighbors: Mapping[int, frozenset[int]]
+) -> dict[int, int]:
+    """Immediate dominators of every bidder reachable from the seller.
 
-    Iterative intersection scheme on a reverse postorder (Cooper/Harvey/
-    Kennedy); quadratic worst case, which is fine at desk scale.
+    ``neighbors`` maps each bidder to her invitees; ids without an entry are
+    absent.  Iterative intersection scheme on a reverse postorder (Cooper/
+    Harvey/Kennedy); quadratic worst case, which is fine at desk scale.
     """
-    qualified = qualified_set(instance)
-    succ: dict[int, list[int]] = {_SOURCE: []}
-    for i in instance.seller_neighbors:
-        if i in qualified:
-            succ[_SOURCE].append(i)
-    for i in qualified:
-        succ[i] = [j for j in instance.reports[i].neighbors if j in qualified]
-
-    # Depth-first postorder from the source.
+    # Depth-first postorder from the source; it visits exactly the bidders
+    # reachable from the seller, and ``succ`` doubles as the visited set.
+    succ: dict[int, list[int]] = {
+        _SOURCE: [i for i in seller_neighbors if i in neighbors]
+    }
     order: list[int] = []
-    seen = {_SOURCE}
     stack: list[tuple[int, int]] = [(_SOURCE, 0)]
     while stack:
         node, idx = stack[-1]
-        if idx < len(succ[node]):
+        out = succ[node]
+        if idx < len(out):
             stack[-1] = (node, idx + 1)
-            child = succ[node][idx]
-            if child not in seen:
-                seen.add(child)
+            child = out[idx]
+            if child not in succ:
+                succ[child] = [j for j in neighbors[child] if j in neighbors]
                 stack.append((child, 0))
         else:
             order.append(node)
@@ -98,11 +103,30 @@ def _dominator_tree(instance: AuctionInstance) -> dict[int, int]:
 
 
 def all_critical_structures(instance: AuctionInstance) -> CriticalStructure:
-    """Sequences and children for every qualified bidder in one pass."""
-    idom = _dominator_tree(instance)
+    """Sequences and children for every qualified bidder in one pass.
+
+    The structure depends on the invitation graph alone (the seller's
+    invitations and every reported neighbor set), never on ``m``,
+    valuations or ground truth.  The last 32 graphs' structures are
+    memoized, so equal graphs share one read-only result.
+    """
+    return _structure(
+        instance.seller_neighbors,
+        frozenset((b, r.neighbors) for b, r in instance.reports.items()),
+    )
+
+
+# A deviation sweep cycles over at most 2**4 neighbor subsets at each of two
+# call sites (round and local market), so 32 graphs keep nearly every repeat
+# a hit; an unbounded memo grows with the corpus and with it peak memory.
+@lru_cache(maxsize=32)
+def _structure(
+    seller_neighbors: frozenset[int], edges: frozenset[tuple[int, frozenset[int]]]
+) -> CriticalStructure:
+    idom = _dominator_tree(seller_neighbors, dict(edges))
     sequences: dict[int, tuple[int, ...]] = {}
-    children_sets: dict[int, set[int]] = {i: {i} for i in idom}
-    for i in idom:
+    children_sets: dict[int, set[int]] = {i: {i} for i in sorted(idom)}
+    for i in children_sets:
         chain = [i]
         cur = i
         while idom[cur] != _SOURCE:
@@ -112,7 +136,8 @@ def all_critical_structures(instance: AuctionInstance) -> CriticalStructure:
         chain.reverse()
         sequences[i] = tuple(chain)
     return CriticalStructure(
-        sequences, {i: frozenset(s) for i, s in children_sets.items()}
+        MappingProxyType(sequences),
+        MappingProxyType({i: frozenset(s) for i, s in children_sets.items()}),
     )
 
 

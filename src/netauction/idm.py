@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .critical import all_critical_structures
-from .model import AuctionInstance, Money, qualified_set
+from .model import AuctionInstance, Money
 
 @dataclass(frozen=True)
 class SingleItemResult:
@@ -47,7 +47,8 @@ def idm_run(
     Ties for the top bidder break to the lowest id so runs are reproducible.
     An empty market is a no-sale result, not an error.
     """
-    qualified = qualified_set(local_instance)
+    structure = all_critical_structures(local_instance)
+    qualified = structure.critical_nodes.keys()
     zero_payments = {i: 0 for i in local_instance.reports}
     if not qualified:
         return (
@@ -59,7 +60,6 @@ def idm_run(
             raise KeyError(f"no item value for qualified bidder {i}")
 
     top = min(qualified, key=lambda i: (-item_value[i], i))
-    structure = all_critical_structures(local_instance)
     sequence = structure.critical_nodes[top]
     children = structure.critical_children
 

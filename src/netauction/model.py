@@ -14,7 +14,7 @@ the seller take part in any trade.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 Money = int
@@ -228,10 +228,10 @@ class BidderReport:
     neighbors: frozenset[int]
 
     def with_neighbors(self, neighbors: Iterable[int]) -> "BidderReport":
-        return replace(self, neighbors=frozenset(neighbors))
+        return BidderReport(self.bidder_id, self.valuation, frozenset(neighbors))
 
     def with_valuation(self, valuation: Valuation) -> "BidderReport":
-        return replace(self, valuation=valuation)
+        return BidderReport(self.bidder_id, valuation, self.neighbors)
 
 
 @dataclass(frozen=True)
@@ -265,13 +265,17 @@ class AuctionInstance:
         deviation enumeration; skips re-validation by design)."""
         reports = dict(self.reports)
         reports[report.bidder_id] = report
-        return replace(self, reports=reports)
+        return AuctionInstance(
+            self.m, self.seller_neighbors, reports, self.ground_truth
+        )
 
     def truthful(self) -> "AuctionInstance":
         """Copy whose reports equal the ground truth."""
         if self.ground_truth is None:
             raise UnknownBidder("instance carries no ground truth")
-        return replace(self, reports=dict(self.ground_truth))
+        return AuctionInstance(
+            self.m, self.seller_neighbors, dict(self.ground_truth), self.ground_truth
+        )
 
 
 @dataclass(frozen=True)
@@ -376,7 +380,7 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
         for bid in reports:
             if bid not in truth:
                 truth[bid] = BidderReport(bid, zero, frozenset())
-    return replace(instance, reports=reports, ground_truth=truth)
+    return AuctionInstance(instance.m, instance.seller_neighbors, reports, truth)
 
 
 def qualified_set(instance: AuctionInstance) -> frozenset[int]:
@@ -412,7 +416,7 @@ def restrict_instance(
     if not frontier <= kept:
         raise ValueError("new seller neighbors must lie inside the kept set")
     reports = {
-        bid: rep.with_neighbors(rep.neighbors & kept)
+        bid: BidderReport(bid, rep.valuation, rep.neighbors & kept)
         for bid, rep in instance.reports.items()
         if bid in kept
     }

@@ -4,12 +4,27 @@ import random
 
 import pytest
 
+from netauction import critical
 from netauction.critical import (
     Unqualified,
     all_critical_structures,
     critical_nodes_by_removal,
 )
-from netauction.model import qualified_set, restrict_instance
+from netauction.drm import run_with_config_detailed
+from netauction.generate import (
+    FamilySpec,
+    embedded_branch_fixture,
+    generate_instances,
+    two_round_showcase,
+)
+from netauction.model import (
+    AuctionInstance,
+    BidderReport,
+    MechanismConfig,
+    Valuation,
+    qualified_set,
+    restrict_instance,
+)
 
 from test_model import build_instance
 
@@ -137,3 +152,109 @@ def test_restriction_idempotence():
             reach = structure.critical_children[i]
             sub = restrict_instance(inst, reach, {i})
             assert all_critical_structures(sub).critical_children[i] == reach
+
+
+def assert_matches_oracle(inst, structure):
+    reachable = qualified_set(inst)
+    assert set(structure.critical_nodes) == reachable
+    assert set(structure.critical_children) == reachable
+    oracle = {i: critical_nodes_by_removal(inst, i) for i in reachable}
+    for i in reachable:
+        assert set(structure.critical_nodes[i]) == oracle[i]
+        assert structure.critical_children[i] == {j for j in reachable if i in oracle[j]}
+
+
+def test_structure_depends_on_the_invitation_graph_alone():
+    base = branch()
+    structure = all_critical_structures(base)
+    reordered = AuctionInstance(
+        base.m, base.seller_neighbors, dict(reversed(base.reports.items()))
+    )
+    revalued = AuctionInstance(
+        2,
+        base.seller_neighbors,
+        {
+            b: BidderReport(b, Valuation.additive(2, {1: b, 2: 1}), r.neighbors)
+            for b, r in base.reports.items()
+        },
+        dict(base.reports),
+    )
+    reports = dict(base.reports)
+    reports[3] = reports[3].with_neighbors({99})  # 99 has no report
+    dangling = AuctionInstance(base.m, base.seller_neighbors | {98}, reports)
+    for variant in (reordered, revalued, dangling):
+        assert all_critical_structures(variant) == structure
+
+
+def test_returned_mappings_are_read_only():
+    structure = all_critical_structures(branch())
+    with pytest.raises(TypeError):
+        structure.critical_nodes[1] = ()
+    with pytest.raises(TypeError):
+        structure.critical_children[4] = frozenset()
+    assert all_critical_structures(branch()).critical_nodes[3] == (1, 2, 3)
+
+
+def test_memo_agrees_with_oracle_across_eviction():
+    rng = random.Random(5)
+    corpus, graphs = [], set()
+    while len(corpus) < 80:
+        inst = random_instance(rng, rng.randint(1, 7))
+        graph = (inst.seller_neighbors, frozenset(
+            (b, r.neighbors) for b, r in inst.reports.items()
+        ))
+        if graph not in graphs:
+            graphs.add(graph)
+            corpus.append(inst)
+    critical._structure.cache_clear()
+    for inst in corpus:
+        assert_matches_oracle(inst, all_critical_structures(inst))
+    middle = critical._structure.cache_info()
+    # The second pass runs backwards: the most recent graphs are hits, the
+    # earlier ones were evicted and are rebuilt.
+    for inst in reversed(corpus):
+        assert_matches_oracle(inst, all_critical_structures(inst))
+    after = critical._structure.cache_info()
+    assert middle.misses == len(corpus)
+    assert after.hits > middle.hits
+    assert after.misses > middle.misses
+
+
+def test_dealer_market_structure_is_the_round_subtree():
+    """Every dealer's local market has the round's dominator subtree below
+    her as its critical structure, so a round's structure could serve it."""
+    corpus = [two_round_showcase(), embedded_branch_fixture()]
+    corpus += generate_instances(
+        FamilySpec(n=10, m=2, v_max=6, graph_model="erdos-renyi", edge_p=0.25,
+                   count=40, seed=9)
+    )
+    markets = deep_markets = later_rounds = 0
+    for inst in corpus:
+        for state in run_with_config_detailed(inst, MechanismConfig()).rounds:
+            residual = restrict_instance(inst, state.participants, state.frontier)
+            round_structure = all_critical_structures(residual)
+            later_rounds += state.index > 0
+            for d in state.candidates:
+                reach = round_structure.critical_children[d]
+                locals_ = reach - {d}
+                if not locals_:
+                    continue
+                markets += 1
+                deep_markets += len(locals_) > 1
+                market = restrict_instance(
+                    residual, locals_, residual.reports[d].neighbors & reach
+                )
+                local = all_critical_structures(market)
+                assert dict(local.critical_nodes) == {
+                    j: seq[seq.index(d) + 1:]
+                    for j, seq in round_structure.critical_nodes.items()
+                    if j in locals_
+                }
+                assert dict(local.critical_children) == {
+                    j: round_structure.critical_children[j] for j in locals_
+                }
+                assert_matches_oracle(market, local)
+    # The corpus must reach later rounds and markets deeper than one bidder.
+    assert markets >= 38
+    assert deep_markets >= 19
+    assert later_rounds >= 15
