@@ -3,9 +3,10 @@
 A bidder ``c`` is a critical diffusion node of bidder ``i`` when every
 invitation chain from the seller to ``i`` passes through ``c`` (``i`` counts
 as critical for itself).  These are exactly the dominators of ``i`` with the
-seller as source, so the production path computes a dominator tree; the
-removal-reachability definition is kept as an independent oracle
-(:func:`critical_nodes_by_removal`) and is the normative semantics.
+seller as source, so the production path computes every bidder's dominator
+set as an iterative fixpoint; the removal-reachability definition is kept as
+an independent oracle (:func:`critical_nodes_by_removal`) and is the
+normative semantics.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import AuctionError, AuctionInstance, qualified_set
-
-_SOURCE = 0  # internal stand-in for the seller; bidder ids are >= 1
 
 
 class Unqualified(AuctionError):
@@ -44,64 +43,6 @@ class CriticalStructure:
     critical_children: Mapping[int, frozenset[int]]
 
 
-def _dominator_tree(
-    seller_neighbors: frozenset[int], neighbors: Mapping[int, frozenset[int]]
-) -> dict[int, int]:
-    """Immediate dominators of every bidder reachable from the seller.
-
-    ``neighbors`` maps each bidder to her invitees; ids without an entry are
-    absent.  Iterative intersection scheme on a reverse postorder (Cooper/
-    Harvey/Kennedy); quadratic worst case, which is fine at desk scale.
-    """
-    # Depth-first postorder from the source; it visits exactly the bidders
-    # reachable from the seller, and ``succ`` doubles as the visited set.
-    succ: dict[int, list[int]] = {
-        _SOURCE: [i for i in seller_neighbors if i in neighbors]
-    }
-    order: list[int] = []
-    stack: list[tuple[int, int]] = [(_SOURCE, 0)]
-    while stack:
-        node, idx = stack[-1]
-        out = succ[node]
-        if idx < len(out):
-            stack[-1] = (node, idx + 1)
-            child = out[idx]
-            if child not in succ:
-                succ[child] = [j for j in neighbors[child] if j in neighbors]
-                stack.append((child, 0))
-        else:
-            order.append(node)
-            stack.pop()
-    order.reverse()  # reverse postorder, source first
-    number = {node: k for k, node in enumerate(order)}
-
-    preds: dict[int, list[int]] = {node: [] for node in order}
-    for node in order:
-        for child in succ[node]:
-            preds[child].append(node)
-
-    idom: dict[int, int] = {_SOURCE: _SOURCE}
-    changed = True
-    while changed:
-        changed = False
-        for node in order[1:]:
-            candidates = [p for p in preds[node] if p in idom]
-            new = candidates[0]
-            for p in candidates[1:]:
-                a, b = p, new
-                while a != b:
-                    while number[a] > number[b]:
-                        a = idom[a]
-                    while number[b] > number[a]:
-                        b = idom[b]
-                new = a
-            if idom.get(node) != new:
-                idom[node] = new
-                changed = True
-    del idom[_SOURCE]
-    return idom
-
-
 def all_critical_structures(instance: AuctionInstance) -> CriticalStructure:
     """Sequences and children for every qualified bidder in one pass.
 
@@ -123,21 +64,48 @@ def all_critical_structures(instance: AuctionInstance) -> CriticalStructure:
 def _structure(
     seller_neighbors: frozenset[int], edges: frozenset[tuple[int, frozenset[int]]]
 ) -> CriticalStructure:
-    idom = _dominator_tree(seller_neighbors, dict(edges))
-    sequences: dict[int, tuple[int, ...]] = {}
-    children_sets: dict[int, set[int]] = {i: {i} for i in sorted(idom)}
-    for i in children_sets:
-        chain = [i]
-        cur = i
-        while idom[cur] != _SOURCE:
-            cur = idom[cur]
-            chain.append(cur)
-            children_sets[cur].add(i)
-        chain.reverse()
-        sequences[i] = tuple(chain)
+    neighbors = dict(edges)
+    # Breadth-first from the seller's invitees: ``order`` lists exactly the
+    # qualified bidders, ``preds`` each one's qualified inviters.
+    order = [i for i in seller_neighbors if i in neighbors]
+    invited_by_seller = len(order)
+    preds: dict[int, list[int]] = {i: [] for i in order}
+    for i in order:
+        for j in neighbors[i]:
+            if j in neighbors:
+                if j not in preds:
+                    preds[j] = []
+                    order.append(j)
+                preds[j].append(i)
+
+    # dom(j) is j plus the dominators all of j's inviters share.  No bidder
+    # stands between the seller and her invitees, so they keep {j}; an
+    # inviter not yet visited counts as everyone.  Each pass can only shrink
+    # a set, so the loop ends.
+    dom = {i: frozenset((i,)) for i in order[:invited_by_seller]}
+    changed = True
+    while changed:
+        changed = False
+        for j in order[invited_by_seller:]:
+            new = frozenset.intersection(
+                *[dom[p] for p in preds[j] if p in dom]
+            ) | {j}
+            if dom.get(j) != new:
+                dom[j] = new
+                changed = True
+
+    # A bidder's dominators form a chain, so their own dominator counts
+    # order them from the seller's side down to the bidder.
+    ranked = sorted(dom)
+    children: dict[int, set[int]] = {i: set() for i in ranked}
+    for i in ranked:
+        for c in dom[i]:
+            children[c].add(i)
     return CriticalStructure(
-        MappingProxyType(sequences),
-        MappingProxyType({i: frozenset(s) for i, s in children_sets.items()}),
+        MappingProxyType(
+            {i: tuple(sorted(dom[i], key=lambda c: len(dom[c]))) for i in ranked}
+        ),
+        MappingProxyType({i: frozenset(s) for i, s in children.items()}),
     )
 
 

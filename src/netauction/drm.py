@@ -160,7 +160,7 @@ def greedy_bdp(
     return tuple(tuples[c] for c in candidates)
 
 
-CDPS = {"graph-exploration": graph_exploration_cdp, "trivial": trivial_cdp}
+CDPS = {"graph-exploration": graph_exploration_cdp}
 BDPS = {"greedy": greedy_bdp, "random-single-item": random_single_item_bdp}
 
 

@@ -87,11 +87,6 @@ def monotone_tables(m: int, v_max: int) -> tuple[Valuation, ...]:
     return tuple(Valuation(m, tuple(t)) for t in tables)
 
 
-def scalar_profiles(n: int, v_max: int) -> Iterator[tuple[int, ...]]:
-    """All single-item value assignments for ``n`` bidders."""
-    return itertools.product(range(v_max + 1), repeat=n)
-
-
 # ---------------------------------------------------------------------------
 # Topology builders
 # ---------------------------------------------------------------------------
@@ -130,16 +125,13 @@ def instance_from_parts(
     seller: Iterable[int],
     out_edges: Mapping[int, Iterable[int]],
     valuations: Mapping[int, Valuation],
-    *,
-    with_truth: bool = True,
 ) -> AuctionInstance:
     reports = {
         i: BidderReport(i, valuations[i], frozenset(out_edges.get(i, ())))
         for i in out_edges
     }
-    truth = dict(reports) if with_truth else None
     return validate_instance(
-        AuctionInstance(m, frozenset(seller), reports, truth)
+        AuctionInstance(m, frozenset(seller), reports, dict(reports))
     )
 
 
@@ -166,10 +158,8 @@ def _random_edges(
     spec: FamilySpec, rng: random.Random
 ) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
     n = spec.n
-    if spec.graph_model == "line":
-        return line_edges(n)
-    if spec.graph_model == "star":
-        return star_edges(n)
+    if spec.graph_model in TOPOLOGIES:
+        return TOPOLOGIES[spec.graph_model](n)
     out = {i: set() for i in range(1, n + 1)}
     if spec.graph_model == "random-tree-plus-edges":
         order = list(range(1, n + 1))
@@ -177,21 +167,15 @@ def _random_edges(
         seller = frozenset(order[:1])
         for pos, node in enumerate(order[1:], start=1):
             out[order[rng.randrange(pos)]].add(node)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and rng.random() < spec.edge_p:
-                    out[i].add(j)
-        return seller, {i: frozenset(s) for i, s in out.items()}
-    if spec.graph_model == "erdos-renyi":
+    else:  # erdos-renyi
         seller = frozenset(i for i in range(1, n + 1) if rng.random() < spec.edge_p)
         if n and not seller:
             seller = frozenset({rng.randint(1, n)})
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and rng.random() < spec.edge_p:
-                    out[i].add(j)
-        return seller, {i: frozenset(s) for i, s in out.items()}
-    raise BadSpec(f"unknown graph model {spec.graph_model!r}")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and rng.random() < spec.edge_p:
+                out[i].add(j)
+    return seller, {i: frozenset(s) for i, s in out.items()}
 
 
 def generate_instances(spec: FamilySpec) -> list[AuctionInstance]:
@@ -366,7 +350,7 @@ def topology_family(
             if dedupe in seen:
                 continue
             seen.add(dedupe)
-            profiles = list(scalar_profiles(n, v_max))
+            profiles = list(itertools.product(range(v_max + 1), repeat=n))
             if profiles_per_shape is not None and len(profiles) > profiles_per_shape:
                 profiles = rng.sample(profiles, profiles_per_shape)
             for values in profiles:

@@ -14,6 +14,7 @@ import json
 from typing import Any
 
 from .model import (
+    MAX_ITEMS,
     AuctionError,
     AuctionInstance,
     BidderReport,
@@ -21,6 +22,8 @@ from .model import (
     Valuation,
     bundle_from_items,
     bundle_items,
+    full_bundle,
+    iter_subbundles,
     validate_instance,
 )
 
@@ -87,6 +90,8 @@ def parse_instance(text: str) -> AuctionInstance:
         raise ParseError(f"missing field {exc}") from None
     if not isinstance(m, int) or not isinstance(seller, list):
         raise ParseError("'m' must be an integer and 'seller_neighbors' a list")
+    if not 0 <= m <= MAX_ITEMS:
+        raise ParseError(f"item count {m} outside 0..{MAX_ITEMS}")
     reports = _parse_bidders(raw.get("bidders", []), m, "bidders")
     truth = None
     if "truth" in raw:
@@ -99,10 +104,8 @@ def parse_instance(text: str) -> AuctionInstance:
 def _bidder_obj(rep: BidderReport) -> dict[str, Any]:
     table = [
         [list(bundle_items(mask)), rep.valuation.of(mask)]
-        for mask in sorted(
-            range(1, 1 << rep.valuation.m),
-            key=lambda b: (bin(b).count("1"), bundle_items(b)),
-        )
+        for mask in iter_subbundles(full_bundle(rep.valuation.m))
+        if mask
     ]
     return {
         "id": rep.bidder_id,

@@ -13,6 +13,7 @@ the seller take part in any trade.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -69,14 +70,13 @@ def iter_subbundles(pool: Bundle) -> Iterator[Bundle]:
     item tuple.  The empty bundle comes first; iterating in this order makes
     "first strict maximum wins" equal to the smaller-cardinality-then-
     lexicographic tie-break used by the bundle division rules."""
-    subs = []
-    sub = pool
-    while True:
-        subs.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & pool
-    subs.sort(key=lambda b: (bin(b).count("1"), bundle_items(b)))
+    bits = [1 << k for k in range(pool.bit_length()) if pool >> k & 1]
+    # combinations over ascending item bits come out in lexicographic order
+    subs = [
+        sum(combo)
+        for size in range(len(bits) + 1)
+        for combo in itertools.combinations(bits, size)
+    ]
     return iter(subs)
 
 

@@ -46,6 +46,17 @@ def test_run_invalid_file_is_validation_error(tmp_path, capsys):
     assert main(["run", "--mechanism", "drm", "--instance", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("m", [-1, 17])
+def test_run_out_of_range_item_count_is_validation_error(tmp_path, capsys, m):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "m": m, "seller_neighbors": [1],
+        "bidders": [{"id": 1, "neighbors": [], "valuation": []}],
+    }))
+    assert main(["run", "--mechanism", "drm", "--instance", str(bad)]) == 3
+    assert f"item count {m}" in capsys.readouterr().err
+
+
 def test_generate_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["generate", "--n", "6", "--m", "2", "--vmax", "3",

@@ -101,10 +101,19 @@ def test_batch_empty_when_nobody_qualifies():
     assert structure.critical_children == {}
 
 
+def sparse_instance(rng, n):
+    # one seller invitee and about two invitations each: long, branching
+    # chains whose dominator sets take several fixpoint passes to settle
+    ids = list(range(1, n + 1))
+    edges = {i: {j for j in ids if j != i and rng.random() < 2 / n} for i in ids}
+    return build_instance(1, {rng.choice(ids)}, edges)
+
+
 def test_oracle_equivalence_on_random_digraphs():
     rng = random.Random(42)
-    for _ in range(120):
-        inst = random_instance(rng, rng.randint(1, 10))
+    corpus = [random_instance(rng, rng.randint(1, 10)) for _ in range(120)]
+    corpus += [sparse_instance(rng, rng.randint(20, 40)) for _ in range(30)]
+    for inst in corpus:
         nodes = all_critical_structures(inst).critical_nodes
         for i in qualified_set(inst):
             assert set(nodes[i]) == critical_nodes_by_removal(inst, i)

@@ -66,6 +66,11 @@ def test_subbundle_order_is_size_then_lexicographic():
         (1, 2), (1, 4), (2, 4),
         (1, 2, 4),
     ]
+    for pool in range(1 << 8):
+        subsets = [b for b in range(pool + 1) if b & pool == b]
+        assert list(iter_subbundles(pool)) == sorted(
+            subsets, key=lambda b: (bin(b).count("1"), bundle_items(b))
+        )
 
 
 # ---------------------------------------------------------------------------
