@@ -188,6 +188,8 @@ def run_with_config_detailed(
         pr_fn, rev_fn = PRICING[config.pricing]
     except KeyError as exc:
         raise AuctionError(f"unknown component name {exc}") from None
+    # Only the random BDP draws, so greedy runs seed no generator.
+    rng = random.Random(config.rng_seed) if bdp is random_single_item_bdp else None
     return dcaf_run_detailed(
         instance,
         cdp,
@@ -195,7 +197,7 @@ def run_with_config_detailed(
         _local_idm,
         pr_fn,
         rev_fn,
-        rng=random.Random(config.rng_seed),
+        rng=rng,
         reserve_bidder=config.reserve_bidder,
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .critical import all_critical_structures
@@ -95,8 +96,34 @@ class RoundState:
 
 @dataclass(frozen=True)
 class DcafRun:
+    """One engine run: the outcome plus one plain record per round (residual
+    instance, partition, tuples, resold flags, intake, items before and
+    after, removed set).  :attr:`rounds` builds the :class:`RoundState`
+    snapshots from the records on first read, so a caller that reads only
+    the outcome never pays for them."""
+
     outcome: Outcome
-    rounds: tuple[RoundState, ...]
+    records: tuple[tuple, ...]
+
+    @cached_property
+    def rounds(self) -> tuple[RoundState, ...]:
+        return tuple(
+            RoundState(
+                index=k,
+                participants=tuple(sorted(residual.reports)),
+                frontier=tuple(sorted(residual.seller_neighbors)),
+                candidates=partition.candidates,
+                non_trading=tuple(sorted(partition.non_trading)),
+                tuples=tuple(tuples),
+                resold=tuple(resold),
+                intake=intake,
+                items_before=before,
+                items_after=after,
+                removed=removed,
+            )
+            for k, (residual, partition, tuples, resold, intake, before, after, removed)
+            in enumerate(self.records)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +249,25 @@ def dcaf_run_detailed(
     rng: random.Random | int | None = None,
     reserve_bidder: bool = False,
 ) -> DcafRun:
-    """Run the full round loop and keep per-round snapshots.
+    """Run the full round loop and keep one record per round.
 
     Rounds repeat until the item pool, the set of unprocessed participants,
     or the frontier empties; whoever is left gets nothing and pays nothing.
     Every round removes at least one participant, so the loop ends.
+
+    ``rng`` is handed to the BDP in every round.  An int seed becomes one
+    generator per run, shared across rounds; ``None`` stays ``None``, which
+    suits a BDP that never draws (``greedy_bdp``).  A BDP that draws must be
+    handed a generator or a seed.
     """
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng or 0)
+    if isinstance(rng, int):
+        rng = random.Random(rng)
     alive = set(instance.reports)
     remaining = full_bundle(instance.m)
     frontier = tuple(sorted(i for i in instance.seller_neighbors if i in alive))
     allocation = {i: 0 for i in instance.reports}
     payment = {i: 0 for i in instance.reports}
-    rounds: list[RoundState] = []
+    records: list[tuple] = []
 
     while remaining and alive and frontier:
         residual = restrict_instance(instance, alive, frontier)
@@ -287,25 +319,14 @@ def dcaf_run_detailed(
         for j in removed:
             next_frontier |= instance.reports[j].neighbors
         frontier = tuple(sorted(next_frontier & alive))
-        rounds.append(
-            RoundState(
-                index=len(rounds),
-                participants=tuple(sorted(residual.reports)),
-                frontier=tuple(sorted(residual.seller_neighbors)),
-                candidates=partition.candidates,
-                non_trading=tuple(sorted(partition.non_trading)),
-                tuples=tuple(tuples),
-                resold=tuple(resold_flags),
-                intake=intake,
-                items_before=items_before,
-                items_after=remaining,
-                removed=removed,
-            )
+        records.append(
+            (residual, partition, tuples, resold_flags, intake,
+             items_before, remaining, removed)
         )
 
     outcome = Outcome.from_maps(allocation, payment)
     check_outcome(instance, outcome)
-    return DcafRun(outcome, tuple(rounds))
+    return DcafRun(outcome, tuple(records))
 
 
 def _check_tuples(tuples: Sequence[BundleTuple], remaining: Bundle) -> None:

@@ -18,7 +18,6 @@ from .model import (
     BidderReport,
     Money,
     Valuation,
-    bundle_items,
     validate_instance,
 )
 
@@ -53,17 +52,18 @@ def random_valuation(m: int, v_max: int, rng: random.Random) -> Valuation:
     monotone."""
     per_item = [rng.randint(0, v_max) for _ in range(m)]
     vals = [0] * (1 << m)
+    additive = [0] * (1 << m)
     for mask in range(1, 1 << m):
-        additive = sum(per_item[i - 1] for i in bundle_items(mask))
-        size = bin(mask).count("1")
-        bonus = rng.randint(0, v_max) if size >= 2 else 0
+        low = mask & -mask
+        additive[mask] = additive[mask ^ low] + per_item[low.bit_length() - 1]
+        bonus = rng.randint(0, v_max) if mask != low else 0
         floor = 0
         rest = mask
         while rest:
             bit = rest & -rest
             floor = max(floor, vals[mask ^ bit])
             rest ^= bit
-        vals[mask] = max(additive + bonus, floor)
+        vals[mask] = max(additive[mask] + bonus, floor)
     return Valuation(m, tuple(vals))
 
 

@@ -37,6 +37,14 @@ class ParseError(AuctionError):
         super().__init__(f"cannot parse instance{at}: {reason}")
 
 
+def _require_int(value: Any, what: str) -> int:
+    """``value`` itself if it is a JSON integer; booleans are rejected too,
+    although Python counts them as ints."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _parse_bidders(raw: Any, m: int, section: str) -> dict[int, BidderReport]:
     if not isinstance(raw, list):
         raise ParseError(f"{section!r} must be a list")
@@ -44,25 +52,26 @@ def _parse_bidders(raw: Any, m: int, section: str) -> dict[int, BidderReport]:
     for entry in raw:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"every {section} entry needs an 'id'")
-        bid = entry["id"]
-        if not isinstance(bid, int):
-            raise ParseError(f"bidder id {bid!r} is not an integer")
+        bid = _require_int(entry["id"], "bidder id")
         if bid in reports:
             raise ParseError(f"duplicate bidder id {bid}")
         neighbors = entry.get("neighbors", [])
         if not isinstance(neighbors, list):
             raise ParseError(f"bidder {bid}: 'neighbors' must be a list")
+        for nb in neighbors:
+            _require_int(nb, f"bidder {bid}: 'neighbors' entry")
         pairs: dict[Bundle, int] = {}
         for item_list_value in entry.get("valuation", []):
             try:
                 items, value = item_list_value
-                mask = bundle_from_items(items)
+                mask = bundle_from_items(
+                    _require_int(k, f"bidder {bid}: 'valuation' item") for k in items
+                )
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bidder {bid}: bad valuation entry: {exc}") from None
             if mask >= 1 << m:
                 raise ParseError(f"bidder {bid}: bundle {items} has items beyond 1..{m}")
-            if not isinstance(value, int):
-                raise ParseError(f"bidder {bid}: value {value!r} is not an integer")
+            _require_int(value, f"bidder {bid}: 'valuation' value")
             if mask in pairs:
                 raise ParseError(f"bidder {bid}: bundle listed twice")
             pairs[mask] = value
@@ -88,8 +97,11 @@ def parse_instance(text: str) -> AuctionInstance:
         seller = raw["seller_neighbors"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
-    if not isinstance(m, int) or not isinstance(seller, list):
-        raise ParseError("'m' must be an integer and 'seller_neighbors' a list")
+    _require_int(m, "'m'")
+    if not isinstance(seller, list):
+        raise ParseError("'seller_neighbors' must be a list")
+    for nb in seller:
+        _require_int(nb, "'seller_neighbors' entry")
     if not 0 <= m <= MAX_ITEMS:
         raise ParseError(f"item count {m} outside 0..{MAX_ITEMS}")
     reports = _parse_bidders(raw.get("bidders", []), m, "bidders")

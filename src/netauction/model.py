@@ -119,9 +119,13 @@ class SelfLoop(ValidationIssue):
 
 
 class UnknownNeighborId(ValidationIssue):
-    def __init__(self, bidder: int, neighbor: int):
+    """An invitation to an id that is not a positive integer; ``bidder`` is
+    the inviting bidder, or None for the seller."""
+
+    def __init__(self, bidder: int | None, neighbor: int):
         self.bidder, self.neighbor = bidder, neighbor
-        super().__init__(f"bidder {bidder} lists invalid neighbor id {neighbor}")
+        who = "the seller" if bidder is None else f"bidder {bidder}"
+        super().__init__(f"{who} lists invalid neighbor id {neighbor!r}")
 
 
 class NeighborSupersetOfTruth(ValidationIssue):
@@ -321,6 +325,10 @@ def _referenced_ids(instance: AuctionInstance) -> set[int]:
     return ids
 
 
+def _valid_id(bid: object) -> bool:
+    return isinstance(bid, int) and bid >= 1
+
+
 def _check_report(rep: BidderReport, violations: list[ValidationIssue]) -> None:
     if rep.valuation.values[0] != 0:
         violations.append(EmptyBundleValue(rep.bidder_id, rep.valuation.values[0]))
@@ -335,7 +343,7 @@ def _check_report(rep: BidderReport, violations: list[ValidationIssue]) -> None:
     if rep.bidder_id in rep.neighbors:
         violations.append(SelfLoop(rep.bidder_id))
     for nb in rep.neighbors:
-        if not isinstance(nb, int) or nb < 1:
+        if not _valid_id(nb):
             violations.append(UnknownNeighborId(rep.bidder_id, nb))
 
 
@@ -356,16 +364,26 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     for rep in instance.reports.values():
         _check_report(rep, violations)
     if instance.ground_truth is not None:
+        # A ground-truth entry that is the report object itself, as in every
+        # generated instance, has just been checked.
+        reported = {id(rep) for rep in instance.reports.values()}
         for rep in instance.ground_truth.values():
-            _check_report(rep, violations)
+            if id(rep) not in reported:
+                _check_report(rep, violations)
         for bid, rep in instance.reports.items():
             true_rep = instance.ground_truth.get(bid)
             true_neighbors = true_rep.neighbors if true_rep else frozenset()
             if not rep.neighbors <= true_neighbors:
                 violations.append(NeighborSupersetOfTruth(bid))
-    for bid in _referenced_ids(instance):
-        if not isinstance(bid, int) or bid < 1:
-            violations.append(UnknownNeighborId(bid, bid))
+    # Bad neighbor ids are reported by _check_report under their inviter.
+    for nb in instance.seller_neighbors:
+        if not _valid_id(nb):
+            violations.append(UnknownNeighborId(None, nb))
+    for bid in dict.fromkeys([*instance.reports, *(instance.ground_truth or ())]):
+        if not _valid_id(bid):
+            violations.append(
+                ValidationIssue(f"bidder id {bid!r} is not a positive integer")
+            )
     if violations:
         raise InstanceValidationError(violations)
 
@@ -410,13 +428,15 @@ def restrict_instance(
     new_seller_neighbors: Iterable[int],
 ) -> AuctionInstance:
     """Sub-instance on ``keep``: every neighbor set is intersected with
-    ``keep`` and the seller's invitations are replaced."""
+    ``keep`` and the seller's invitations are replaced.  A report whose
+    invitations all lie inside ``keep`` is shared, not copied."""
     kept = frozenset(keep)
     frontier = frozenset(new_seller_neighbors)
     if not frontier <= kept:
         raise ValueError("new seller neighbors must lie inside the kept set")
     reports = {
-        bid: BidderReport(bid, rep.valuation, rep.neighbors & kept)
+        bid: rep if rep.neighbors <= kept
+        else BidderReport(bid, rep.valuation, rep.neighbors & kept)
         for bid, rep in instance.reports.items()
         if bid in kept
     }

@@ -57,6 +57,43 @@ def test_run_out_of_range_item_count_is_validation_error(tmp_path, capsys, m):
     assert f"item count {m}" in capsys.readouterr().err
 
 
+def _bidder(**fields):
+    return {"id": 1, "neighbors": [], "valuation": [], **fields}
+
+
+@pytest.mark.parametrize(
+    "instance, field",
+    [
+        ({"m": 1, "seller_neighbors": [1],
+          "bidders": [_bidder(neighbors=[[2]])]}, "bidder 1: 'neighbors'"),
+        ({"m": 1, "seller_neighbors": [1],
+          "bidders": [_bidder(neighbors=[True])]}, "bidder 1: 'neighbors'"),
+        ({"m": 1, "seller_neighbors": [1],
+          "bidders": [_bidder(neighbors=["a"])]}, "bidder 1: 'neighbors'"),
+        ({"m": 1, "seller_neighbors": [[1]], "bidders": [_bidder()]},
+         "'seller_neighbors'"),
+        ({"m": 1, "seller_neighbors": ["x"], "bidders": [_bidder()]},
+         "'seller_neighbors'"),
+        ({"m": True, "seller_neighbors": [1], "bidders": [_bidder()]}, "'m'"),
+        ({"m": 1, "seller_neighbors": [1],
+          "bidders": [_bidder(valuation=[[[1], True]])]}, "bidder 1: 'valuation'"),
+        ({"m": 1, "seller_neighbors": [1],
+          "bidders": [_bidder(valuation=[[[True], 1]])]}, "bidder 1: 'valuation'"),
+        ({"m": 1, "seller_neighbors": [1], "bidders": [_bidder(id=True)]},
+         "bidder id"),
+    ],
+    ids=["list-neighbor", "bool-neighbor", "str-neighbor", "list-seller",
+         "str-seller", "bool-m", "bool-value", "bool-item", "bool-id"],
+)
+def test_run_non_integer_field_is_validation_error(tmp_path, capsys, instance, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(instance))
+    assert main(["run", "--mechanism", "drm", "--instance", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert field in err and "is not an integer" in err
+    assert "Traceback" not in err
+
+
 def test_generate_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["generate", "--n", "6", "--m", "2", "--vmax", "3",

@@ -19,6 +19,7 @@ from netauction.generate import (
     FamilySpec,
     embedded_branch_fixture,
     generate_instances,
+    two_round_showcase,
 )
 from netauction.model import (
     AuctionError,
@@ -221,6 +222,15 @@ def test_random_bdp_mechanism_is_seed_deterministic():
     assert mech(inst, MechanismConfig(rng_seed=11)) == mech(
         inst, MechanismConfig(rng_seed=11)
     )
+
+
+def test_greedy_drm_seeds_no_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy bundle division never draws")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    outcome = run_with_config(two_round_showcase(), MechanismConfig())
+    assert outcome.seller_revenue == 3
 
 
 def test_baseline_direct_second_price():

@@ -246,6 +246,16 @@ def test_two_round_showcase_structure():
     assert outcome.payment[10] == outcome.payment[11] == 0
 
 
+def test_round_snapshots_are_built_on_first_read():
+    run = dcaf_run_detailed(
+        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_mech
+    )
+    assert "rounds" not in vars(run)
+    rounds = run.rounds
+    assert len(rounds) == 2
+    assert run.rounds is rounds
+
+
 def test_embedded_branch_reproduces_the_market():
     outcome = engine_outcome(
         embedded_branch_fixture(), graph_exploration_cdp, greedy_bdp, idm_mech

@@ -12,6 +12,7 @@ from netauction.model import (
     Outcome,
     SelfLoop,
     UnknownBidder,
+    UnknownNeighborId,
     Valuation,
     bundle_from_items,
     bundle_items,
@@ -110,11 +111,49 @@ def test_all_violations_reported_together():
     assert {"SelfLoop", "NonMonotoneValuation", "EmptyBundleValue"} <= kinds
 
 
+def test_truth_entry_that_is_the_report_is_checked_once():
+    bad = BidderReport(1, Valuation(1, (1, 0)), frozenset())  # non-monotone
+    copy = bad.with_valuation(bad.valuation)  # equal, but another object
+    for truth_rep, listed in ((bad, 1), (copy, 2)):
+        with pytest.raises(InstanceValidationError) as err:
+            validate_instance(
+                AuctionInstance(1, frozenset({1}), {1: bad}, {1: truth_rep})
+            )
+        kinds = [type(x) for x in err.value.violations]
+        assert kinds.count(NonMonotoneValuation) == listed
+
+
 def test_absent_bidders_materialized_with_zero_reports():
     inst = build_instance(1, {1}, {1: {2}})  # bidder 2 never reported
     assert 2 in inst.reports
     assert inst.reports[2].neighbors == frozenset()
     assert inst.reports[2].valuation.of(1) == 0
+
+
+@pytest.mark.parametrize(
+    "seller, edges, inviter, bad",
+    [({"x"}, {}, None, "x"), ({1}, {1: {"a"}}, 1, "a"), ({1}, {1: {0}}, 1, 0)],
+    ids=["seller-str", "bidder-str", "bidder-zero"],
+)
+def test_invalid_id_reported_once_under_its_inviter(seller, edges, inviter, bad):
+    v = Valuation.zero(1)
+    reports = {i: BidderReport(i, v, frozenset(nbrs)) for i, nbrs in edges.items()}
+    with pytest.raises(InstanceValidationError) as err:
+        validate_instance(AuctionInstance(1, frozenset(seller), reports))
+    [issue] = err.value.violations
+    assert isinstance(issue, UnknownNeighborId)
+    assert (issue.bidder, issue.neighbor) == (inviter, bad)
+    who = "the seller" if inviter is None else f"bidder {inviter}"
+    assert str(issue) == f"{who} lists invalid neighbor id {bad!r}"
+
+
+def test_invalid_bidder_id_reported_as_such():
+    reports = {0: BidderReport(0, Valuation.zero(1), frozenset())}
+    with pytest.raises(InstanceValidationError) as err:
+        validate_instance(AuctionInstance(1, frozenset(), reports))
+    assert [str(x) for x in err.value.violations] == [
+        "bidder id 0 is not a positive integer"
+    ]
 
 
 def test_reported_neighbors_must_lie_inside_truth():
@@ -227,6 +266,11 @@ def test_restrict_identity():
     same = restrict_instance(inst, inst.reports, inst.seller_neighbors)
     assert same.reports == inst.reports
     assert same.seller_neighbors == inst.seller_neighbors
+    # every invitee kept: the report objects are shared, not copied
+    assert all(same.reports[b] is inst.reports[b] for b in inst.reports)
+    cut = restrict_instance(inst, {1}, {1})
+    assert cut.reports[1] is not inst.reports[1]
+    assert cut.reports[1] == BidderReport(1, inst.reports[1].valuation, frozenset())
 
 
 def test_restrict_to_empty():
