@@ -39,7 +39,7 @@ from .framework import (
     resale_revenue_fn,
 )
 from .generate import FamilySpec, generate_instances
-from .idm import IdmTrace, SingleItemResult, idm_run
+from .idm import SingleItemResult, idm_run
 from .instance_io import (
     ParseError,
     load_instance,

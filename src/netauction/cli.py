@@ -5,8 +5,9 @@
     netauction generate --n 6 --m 2 --vmax 3 --count 100 --seed 7 --out corpus/
     netauction compare --instances corpus/
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 property
-violation (or, for the positive-incentive search, no witness found).
+Exit codes: 0 success, 2 usage error, 3 validation error (an instance
+with more items than greedy bundle division enumerates counts as one), 4
+property violation (or, for the positive-incentive search, no witness found).
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import sys
 from pathlib import Path
 
 from . import generate as gen
-from .drm import MECHANISMS, get_mechanism, graph_exploration_cdp, greedy_bdp
+from .drm import (
+    MECHANISMS,
+    TooManyItems,
+    get_mechanism,
+    graph_exploration_cdp,
+    greedy_bdp,
+)
 from .idm import idm_run
 from .instance_io import ParseError, load_instance, save_instance
 from .model import (
@@ -141,8 +148,7 @@ def _run_verify(prop: str, scale: str) -> CheckResult:
         ("line", "star", "branch"), 4, m=1, v_max=3,
         profiles_per_shape=None if scale == "small" else 16, seed=3,
     )
-    mech = lambda inst, values: idm_run(inst, values)[0]  # noqa: E731
-    return check_revenue_consistency(mech, markets, range(0, 7))
+    return check_revenue_consistency(idm_run, markets, range(0, 7))
 
 
 def _cmd_verify(args) -> int:
@@ -172,9 +178,10 @@ def _cmd_generate(args) -> int:
         n=args.n, m=args.m, v_max=args.vmax, graph_model=args.graph,
         count=args.count, seed=args.seed, edge_p=args.edge_p,
     )
+    instances = gen.generate_instances(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k, instance in enumerate(gen.generate_instances(spec)):
+    for k, instance in enumerate(instances):
         save_instance(out_dir / f"instance_{k:04d}.json", instance)
     print(f"wrote {spec.count} instance(s) to {out_dir}")
     return EXIT_OK
@@ -273,7 +280,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ParseError, InstanceValidationError) as exc:
+    except (ParseError, InstanceValidationError, TooManyItems) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (AuctionError, OSError) as exc:

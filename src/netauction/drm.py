@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .framework import (
     BoundPrice,
@@ -21,13 +22,12 @@ from .framework import (
     dcaf_run_detailed,
     DcafRun,
 )
-from .idm import SingleItemResult, idm_run
+from .idm import idm_run
 from .model import (
     AuctionError,
     AuctionInstance,
     Bundle,
     MechanismConfig,
-    Money,
     Outcome,
     full_bundle,
     iter_subbundles,
@@ -102,13 +102,11 @@ def random_single_item_bdp(
     pr: BoundPrice,
     rev: BoundPrice,
     *,
-    rng: random.Random | int | None = None,
+    rng: random.Random,
 ) -> tuple[BundleTuple, ...]:
     """Hand each candidate one random distinct item (resale = reserve) while
     items remain; later candidates get empty tuples.  Deterministic for a
-    fixed seed."""
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng or 0)
+    fixed generator state."""
     order = sorted(candidates)
     rng.shuffle(order)
     pool = [1 << k for k in range(residual_instance.m) if remaining >> k & 1]
@@ -127,8 +125,6 @@ def greedy_bdp(
     candidates: Sequence[int],
     pr: BoundPrice,
     rev: BoundPrice,
-    *,
-    rng: random.Random | int | None = None,
 ) -> tuple[BundleTuple, ...]:
     """In fixed id order (independent of any report), give each candidate the
     sub-bundle of the remaining pool maximizing resale margin
@@ -164,12 +160,6 @@ CDPS = {"graph-exploration": graph_exploration_cdp}
 BDPS = {"greedy": greedy_bdp, "random-single-item": random_single_item_bdp}
 
 
-def _local_idm(
-    market: AuctionInstance, item_value: Mapping[int, Money]
-) -> SingleItemResult:
-    return idm_run(market, item_value)[0]
-
-
 # ---------------------------------------------------------------------------
 # Assembled mechanisms
 # ---------------------------------------------------------------------------
@@ -188,16 +178,16 @@ def run_with_config_detailed(
         pr_fn, rev_fn = PRICING[config.pricing]
     except KeyError as exc:
         raise AuctionError(f"unknown component name {exc}") from None
-    # Only the random BDP draws, so greedy runs seed no generator.
-    rng = random.Random(config.rng_seed) if bdp is random_single_item_bdp else None
+    if bdp is random_single_item_bdp:
+        # One generator per run, shared by its rounds; greedy seeds none.
+        bdp = partial(bdp, rng=random.Random(config.rng_seed))
     return dcaf_run_detailed(
         instance,
         cdp,
         bdp,
-        _local_idm,
+        idm_run,
         pr_fn,
         rev_fn,
-        rng=rng,
         reserve_bidder=config.reserve_bidder,
     )
 
@@ -207,7 +197,7 @@ def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outc
     qualified = qualified_set(instance)
     grand = full_bundle(instance.m)
     values = {i: instance.reports[i].valuation.of(grand) for i in qualified}
-    result, _ = idm_run(instance, values)
+    result = idm_run(instance, values)
     allocation = {i: 0 for i in instance.reports}
     if result.winner is not None:
         allocation[result.winner] = grand

@@ -13,10 +13,8 @@ frontier, and unsold items stay in the pool.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .critical import all_critical_structures
 from .idm import SingleItemResult
@@ -37,7 +35,8 @@ from .model import (
 PriceFn = Callable[[Sequence[BidderReport], Bundle], Money]
 BoundPrice = Callable[[Bundle], Money]
 Cdp = Callable[[AuctionInstance, Sequence[int]], "DistributorPartition"]
-Bdp = Callable[..., tuple["BundleTuple", ...]]
+Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
+               tuple["BundleTuple", ...]]
 SingleItemMech = Callable[[AuctionInstance, Mapping[int, Money]], SingleItemResult]
 
 
@@ -77,15 +76,14 @@ class BundleTuple:
         return f"(resale={bundle_str(self.resale)}, reserve={bundle_str(self.reserve)})"
 
 
-@dataclass(frozen=True)
-class RoundState:
-    """Snapshot of one engine round, kept for traces and invariant tests."""
+class RoundState(NamedTuple):
+    """One engine round as the loop saw it: the residual instance, the CDP's
+    split, the BDP's tuples and, per candidate, whether she resold.  The id
+    views below are sorted tuples read off the residual and the split."""
 
     index: int
-    participants: tuple[int, ...]
-    frontier: tuple[int, ...]
-    candidates: tuple[int, ...]
-    non_trading: tuple[int, ...]
+    residual: AuctionInstance
+    partition: DistributorPartition
     tuples: tuple[BundleTuple, ...]
     resold: tuple[bool, ...]
     intake: Money
@@ -93,37 +91,29 @@ class RoundState:
     items_after: Bundle
     removed: frozenset[int]
 
+    @property
+    def participants(self) -> tuple[int, ...]:
+        return tuple(sorted(self.residual.reports))
+
+    @property
+    def frontier(self) -> tuple[int, ...]:
+        return tuple(sorted(self.residual.seller_neighbors))
+
+    @property
+    def candidates(self) -> tuple[int, ...]:
+        return self.partition.candidates
+
+    @property
+    def non_trading(self) -> tuple[int, ...]:
+        return tuple(sorted(self.partition.non_trading))
+
 
 @dataclass(frozen=True)
 class DcafRun:
-    """One engine run: the outcome plus one plain record per round (residual
-    instance, partition, tuples, resold flags, intake, items before and
-    after, removed set).  :attr:`rounds` builds the :class:`RoundState`
-    snapshots from the records on first read, so a caller that reads only
-    the outcome never pays for them."""
+    """One engine run: the outcome and one :class:`RoundState` per round."""
 
     outcome: Outcome
-    records: tuple[tuple, ...]
-
-    @cached_property
-    def rounds(self) -> tuple[RoundState, ...]:
-        return tuple(
-            RoundState(
-                index=k,
-                participants=tuple(sorted(residual.reports)),
-                frontier=tuple(sorted(residual.seller_neighbors)),
-                candidates=partition.candidates,
-                non_trading=tuple(sorted(partition.non_trading)),
-                tuples=tuple(tuples),
-                resold=tuple(resold),
-                intake=intake,
-                items_before=before,
-                items_after=after,
-                removed=removed,
-            )
-            for k, (residual, partition, tuples, resold, intake, before, after, removed)
-            in enumerate(self.records)
-        )
+    rounds: tuple[RoundState, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,6 @@ PRICING = {"second-first": (price_fn, resale_revenue_fn)}
 class DrpResult:
     """Partial outcome over one distributor's reach."""
 
-    distributor: int
     allocation: dict[int, Bundle]
     payment: dict[int, Money]
     resold: bool
@@ -225,12 +214,12 @@ def drp_run(
                     payment[j] = result.payments.get(j, 0)
                 allocation[result.winner] = resale
                 payment[distributor] = pr(resale) - rev(resale)
-                return DrpResult(distributor, allocation, payment, True, revenue)
+                return DrpResult(allocation, payment, True, revenue)
 
     reserve = bundle_tuple.reserve
     allocation[distributor] = reserve
     payment[distributor] = pr(reserve)
-    return DrpResult(distributor, allocation, payment, False, 0)
+    return DrpResult(allocation, payment, False, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,28 +235,20 @@ def dcaf_run_detailed(
     pr_fn: PriceFn = price_fn,
     rev_fn: PriceFn = resale_revenue_fn,
     *,
-    rng: random.Random | int | None = None,
     reserve_bidder: bool = False,
 ) -> DcafRun:
-    """Run the full round loop and keep one record per round.
+    """Run the full round loop and keep one :class:`RoundState` per round.
 
     Rounds repeat until the item pool, the set of unprocessed participants,
     or the frontier empties; whoever is left gets nothing and pays nothing.
     Every round removes at least one participant, so the loop ends.
-
-    ``rng`` is handed to the BDP in every round.  An int seed becomes one
-    generator per run, shared across rounds; ``None`` stays ``None``, which
-    suits a BDP that never draws (``greedy_bdp``).  A BDP that draws must be
-    handed a generator or a seed.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     alive = set(instance.reports)
     remaining = full_bundle(instance.m)
     frontier = tuple(sorted(i for i in instance.seller_neighbors if i in alive))
     allocation = {i: 0 for i in instance.reports}
     payment = {i: 0 for i in instance.reports}
-    records: list[tuple] = []
+    rounds: list[RoundState] = []
 
     while remaining and alive and frontier:
         residual = restrict_instance(instance, alive, frontier)
@@ -275,7 +256,7 @@ def dcaf_run_detailed(
         tn_reports = [residual.reports[j] for j in sorted(partition.non_trading)]
         pr = lambda b: pr_fn(tn_reports, b)  # noqa: E731 - bound per round
         rev = lambda b: rev_fn(tn_reports, b)  # noqa: E731
-        tuples = bdp(residual, remaining, partition.candidates, pr, rev, rng=rng)
+        tuples = bdp(residual, remaining, partition.candidates, pr, rev)
         _check_tuples(tuples, remaining)
 
         structure = all_critical_structures(residual)
@@ -319,14 +300,14 @@ def dcaf_run_detailed(
         for j in removed:
             next_frontier |= instance.reports[j].neighbors
         frontier = tuple(sorted(next_frontier & alive))
-        records.append(
-            (residual, partition, tuples, resold_flags, intake,
-             items_before, remaining, removed)
-        )
+        rounds.append(RoundState(
+            len(rounds), residual, partition, tuples, tuple(resold_flags),
+            intake, items_before, remaining, removed,
+        ))
 
     outcome = Outcome.from_maps(allocation, payment)
     check_outcome(instance, outcome)
-    return DcafRun(outcome, tuple(records))
+    return DcafRun(outcome, tuple(rounds))
 
 
 def _check_tuples(tuples: Sequence[BundleTuple], remaining: Bundle) -> None:

@@ -182,6 +182,12 @@ def generate_instances(spec: FamilySpec) -> list[AuctionInstance]:
     """A deterministic family of validated instances with ground truth."""
     if spec.n < 0:
         raise BadSpec("negative bidder count")
+    if spec.count < 0:
+        raise BadSpec("negative instance count")
+    if spec.v_max < 0:
+        raise BadSpec("negative value bound")
+    if not 0 <= spec.edge_p <= 1:
+        raise BadSpec(f"edge probability {spec.edge_p} outside [0, 1]")
     if not 0 <= spec.m <= 16:
         raise BadSpec("item count outside 0..16")
     if spec.graph_model not in GRAPH_MODELS:

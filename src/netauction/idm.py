@@ -8,7 +8,7 @@ by inviting, which can make her payment negative (she receives money).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .critical import all_critical_structures
@@ -16,27 +16,25 @@ from .model import AuctionInstance, Money
 
 @dataclass(frozen=True)
 class SingleItemResult:
-    """Outcome of one local single-item market."""
+    """Outcome of one local single-item market.
+
+    IDM also records how it got there: the top bidder, her critical
+    sequence and every sequence node's outside offer ``vstar``.  Other
+    single-item mechanisms leave them at their empty defaults.
+    """
 
     winner: int | None
     payments: dict[int, Money]
     revenue: Money
-
-
-@dataclass(frozen=True)
-class IdmTrace:
-    """Intermediate quantities, kept for tests and reports."""
-
-    top_bidder: int | None
-    critical_sequence: tuple[int, ...]
-    vstar: dict[int, Money]
-    winner: int | None
+    top_bidder: int | None = None
+    critical_sequence: tuple[int, ...] = ()
+    vstar: dict[int, Money] = field(default_factory=dict)
 
 
 def idm_run(
     local_instance: AuctionInstance,
     item_value: Mapping[int, Money],
-) -> tuple[SingleItemResult, IdmTrace]:
+) -> SingleItemResult:
     """Run the mechanism on one market.
 
     ``item_value`` maps every qualified bidder to her reported value for the
@@ -51,10 +49,7 @@ def idm_run(
     qualified = structure.critical_nodes.keys()
     zero_payments = {i: 0 for i in local_instance.reports}
     if not qualified:
-        return (
-            SingleItemResult(None, zero_payments, 0),
-            IdmTrace(None, (), {}, None),
-        )
+        return SingleItemResult(None, zero_payments, 0)
     for i in qualified:
         if i not in item_value:
             raise KeyError(f"no item value for qualified bidder {i}")
@@ -85,7 +80,4 @@ def idm_run(
         payments[i] = vstar[i] - vstar[sequence[pos + 1]]
     payments[winner] = vstar[winner]
     revenue = sum(payments.values())
-    return (
-        SingleItemResult(winner, payments, revenue),
-        IdmTrace(top, sequence, vstar, winner),
-    )
+    return SingleItemResult(winner, payments, revenue, top, sequence, vstar)

@@ -60,8 +60,11 @@ def _parse_bidders(raw: Any, m: int, section: str) -> dict[int, BidderReport]:
             raise ParseError(f"bidder {bid}: 'neighbors' must be a list")
         for nb in neighbors:
             _require_int(nb, f"bidder {bid}: 'neighbors' entry")
+        valuation = entry.get("valuation", [])
+        if not isinstance(valuation, list):
+            raise ParseError(f"bidder {bid}: 'valuation' must be a list")
         pairs: dict[Bundle, int] = {}
-        for item_list_value in entry.get("valuation", []):
+        for item_list_value in valuation:
             try:
                 items, value = item_list_value
                 mask = bundle_from_items(

@@ -401,18 +401,14 @@ def check_bdp_locality(bdp: Bdp, instances: Iterable[AuctionInstance]) -> CheckR
         pr = lambda b: price_fn(tn_reports, b)  # noqa: E731
         rev = lambda b: resale_revenue_fn(tn_reports, b)  # noqa: E731
         pool = full_bundle(inst.m)
-        baseline = bdp(inst, pool, partition.candidates, pr, rev, rng=0)
+        baseline = bdp(inst, pool, partition.candidates, pr, rev)
         result.cases += 1
         for i in partition.candidates:
             rep = inst.reports[i]
             for sub in _subsets(rep.neighbors):
                 varied = bdp(
                     inst.with_report(rep.with_neighbors(sub)),
-                    pool,
-                    partition.candidates,
-                    pr,
-                    rev,
-                    rng=0,
+                    pool, partition.candidates, pr, rev,
                 )
                 result.cases += 1
                 if varied != baseline:

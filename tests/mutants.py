@@ -6,7 +6,7 @@ the mutation tests assert the checkers flag them.
 
 from __future__ import annotations
 
-import random
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 from netauction.framework import BundleTuple, DistributorPartition
@@ -117,8 +117,6 @@ def degree_ordered_greedy_bdp(
     candidates: Sequence[int],
     pr,
     rev,
-    *,
-    rng: random.Random | int | None = None,
 ) -> tuple[BundleTuple, ...]:
     """Greedy division but serving candidates by reported degree: a
     candidate's own invitation report moves her place in the queue."""
@@ -151,12 +149,12 @@ def leaky_idm(
 ) -> SingleItemResult:
     """IDM plus a rebate of the first critical node's own bid: the local
     revenue now moves with a positive-utility loser's report."""
-    result, trace = idm_run(market, item_value)
-    if trace.winner is None or not trace.critical_sequence:
+    result = idm_run(market, item_value)
+    if result.winner is None or not result.critical_sequence:
         return result
-    first = trace.critical_sequence[0]
-    if first == trace.winner:
+    first = result.critical_sequence[0]
+    if first == result.winner:
         return result
     payments = dict(result.payments)
     payments[first] -= item_value[first]
-    return SingleItemResult(result.winner, payments, sum(payments.values()))
+    return replace(result, payments=payments, revenue=sum(payments.values()))

@@ -82,10 +82,6 @@ def idm_standalone(instance):
     return idm_grand_bundle(instance, MechanismConfig())
 
 
-def idm_market(market, item_value):
-    return idm_run(market, item_value)[0]
-
-
 # ---------------------------------------------------------------------------
 # 1. dominator path equals the removal oracle
 # ---------------------------------------------------------------------------
@@ -119,15 +115,15 @@ def test_criterion_2_idm_fixtures():
     started = time.perf_counter()
     line = line_market_fixture()
     values = {i: line.reports[i].valuation.of(1) for i in qualified_set(line)}
-    result, trace = idm_run(line, values)
+    result = idm_run(line, values)
     line_ok = (
-        trace.vstar == {1: 0, 2: 3, 3: 5}
+        result.vstar == {1: 0, 2: 3, 3: 5}
         and result.winner == 1
         and result.revenue == 0
     )
     branch = branch_market_fixture()
     values = {i: branch.reports[i].valuation.of(1) for i in qualified_set(branch)}
-    result, _ = idm_run(branch, values)
+    result = idm_run(branch, values)
     branch_ok = (
         result.winner == 2
         and result.payments[2] == 6
@@ -350,7 +346,7 @@ def test_criterion_7_locality_and_revenue_consistency():
     locality = check_bdp_locality(greedy_bdp, locality_family)
     markets = topology_family(("line", "star", "branch"), 4, m=1, v_max=3)
     consistency = check_revenue_consistency(
-        idm_market, markets, range(0, 7), DeviationSpace(v_max=3, budget=1 << 20)
+        idm_run, markets, range(0, 7), DeviationSpace(v_max=3, budget=1 << 20)
     )
     planted_locality = check_bdp_locality(
         mutants.degree_ordered_greedy_bdp, [locality_trap_instance()]
@@ -392,7 +388,7 @@ def test_criterion_8_conservation_invariants():
             )
             for inst in family:
                 run = dcaf_run_detailed(
-                    inst, graph_exploration_cdp, greedy_bdp, idm_market
+                    inst, graph_exploration_cdp, greedy_bdp, idm_run
                 )
                 runs += 1
                 try:

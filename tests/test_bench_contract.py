@@ -5,6 +5,7 @@ Tracing patches named call sites inside the package, so renaming or
 deleting one of them fails here rather than only when the benchmark runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +23,43 @@ def test_bench_smoke_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "smoke: ok" in proc.stdout, proc.stdout
+
+
+# Run in bench/: one tiny traced workload, its per-layer metrics as JSON.
+TRACED_RUN = """
+import json, sys
+import run, smoke
+run.import_package()
+entry, _ = smoke.tiny_run(sys.argv[1], True)
+print(json.dumps(entry["metrics"]))
+"""
+
+
+def traced_calls(workload):
+    """Calls per sweep of every traced span in a tiny traced run."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, workload], cwd=BENCH, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name[: -len(".calls")]: metric["value"]
+            for name, metric in metrics.items() if name.endswith(".calls")}
+
+
+def test_lab_ic_tracing_reaches_every_engine_layer():
+    # A patched name the engine no longer looks up at call time (bound at
+    # import, in a default argument or in an early partial) reads zero here.
+    idle = {"generate.all_digraph_networks", "model.BidderReport.with_neighbors",
+            "properties.check_cdp_consistency"}
+    calls = traced_calls("lab-ic")
+    assert {span for span, n in calls.items() if n == 0} == idle
+
+
+def test_lab_cdc_tracing_reaches_the_split_and_report_copies():
+    calls = traced_calls("lab-cdc")
+    for span in ("drm.graph_exploration_cdp", "model.AuctionInstance.with_report",
+                 "model.BidderReport.with_neighbors",
+                 "properties.check_cdp_consistency", "generate.all_digraph_networks"):
+        assert calls[span] > 0, span

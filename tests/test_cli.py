@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netauction.cli import main
+from netauction.drm import MECHANISMS
 from netauction.generate import embedded_branch_fixture
 from netauction.instance_io import save_instance
 
@@ -94,6 +97,118 @@ def test_run_non_integer_field_is_validation_error(tmp_path, capsys, instance, f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("valuation", [5, None, True], ids=["int", "null", "bool"])
+def test_run_non_list_valuation_is_validation_error(tmp_path, capsys, valuation):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "m": 1, "seller_neighbors": [1], "bidders": [_bidder(valuation=valuation)],
+    }))
+    assert main(["run", "--mechanism", "drm", "--instance", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "bidder 1: 'valuation' must be a list" in err
+    assert "Traceback" not in err
+
+
+def _many_items_file(tmp_path, m):
+    path = tmp_path / f"m{m}.json"
+    path.write_text(json.dumps({
+        "m": m, "seller_neighbors": [1], "bidders": [_bidder(valuation=[[[1], 2]])],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("m", [13, 16])
+def test_drm_beyond_the_greedy_cap_is_validation_error(tmp_path, capsys, m):
+    path = _many_items_file(tmp_path, m)
+    assert main(["run", "--mechanism", "drm", "--instance", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{m} items remain" in err and "capped at 12" in err
+
+
+def test_idm_runs_beyond_the_greedy_cap(tmp_path):
+    path = _many_items_file(tmp_path, 13)
+    assert main(["run", "--mechanism", "idm", "--instance", str(path)]) == 0
+
+
+# Arbitrary JSON, for any field of a fuzzed instance file.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _well_formed_files(draw):
+    """Instance files on bidders 1..n.  ``m`` is mostly 0..3 with n at
+    most 4; sometimes it is past greedy division's cap of 12, with n at most
+    1 to bound the 2^m-entry tables; sometimes it is out of range."""
+    m = draw(st.integers(0, 9).flatmap(lambda k: (
+        st.integers(0, 3) if k < 8
+        else st.integers(13, 16) if k < 9
+        else st.sampled_from([-1, 17])
+    )))
+    n = draw(st.integers(0, 4 if m <= 3 else 1))
+    ids = st.integers(1, n + 1)  # n + 1 is nobody's id
+    bundles = st.frozensets(st.integers(1, min(max(m, 1), 3)), min_size=1)
+    valuation = st.dictionaries(
+        bundles, st.integers(0, 9), max_size=3 if m else 0
+    ).map(lambda table: [[sorted(b), v] for b, v in table.items()])
+    bidders = [
+        {
+            "id": i,
+            "neighbors": draw(st.lists(ids.filter(lambda j, i=i: j != i),
+                                       max_size=3, unique=True)),
+            "valuation": draw(valuation),
+        }
+        for i in range(1, n + 1)
+    ]
+    obj = {"m": m, "seller_neighbors": draw(st.lists(ids, max_size=3)),
+           "bidders": bidders}
+    if draw(st.integers(0, 3)) == 0:
+        obj["truth"] = [dict(b) for b in bidders]
+    return obj
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _json_paths(inner, path + (key,))
+    elif isinstance(value, list):
+        for key, inner in enumerate(value):
+            yield from _json_paths(inner, path + (key,))
+
+
+@st.composite
+def instance_files(draw):
+    """A well-formed file with up to two of its fields, at any depth,
+    replaced by arbitrary JSON."""
+    obj = draw(_well_formed_files())
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, key = draw(st.sampled_from(list(_json_paths(obj))[1:]))
+        target = obj
+        for step in parents:
+            target = target[step]
+        target[key] = draw(JSON)
+    return obj
+
+
+def test_run_fuzzed_files_exit_ok_or_validation(tmp_path):
+    path = tmp_path / "fuzz.json"
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(instance_files())
+    def run(instance):
+        path.write_text(json.dumps(instance))
+        for mechanism in sorted(MECHANISMS):
+            args = ["run", "--mechanism", mechanism, "--instance", str(path)]
+            assert main(args) in (0, 3)
+
+    run()
+
+
 def test_generate_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["generate", "--n", "6", "--m", "2", "--vmax", "3",
@@ -107,6 +222,25 @@ def test_generate_is_byte_identical(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
     # files are loadable, canonical JSON
     json.loads(files1[0].read_text())
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--count", "-1", "negative instance count"),
+    ("--vmax", "-1", "negative value bound"),
+])
+def test_generate_negative_spec_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    args = ["generate", "--n", "3", "--m", "1", flag, value, "--out", str(out)]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_edge_probability_out_of_range_is_usage_error(tmp_path, capsys):
+    args = ["generate", "--n", "3", "--m", "1", "--edge-p", "7",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "edge probability 7.0 outside [0, 1]" in capsys.readouterr().err
 
 
 def test_verify_epi4nw_finds_witness(capsys):

@@ -155,10 +155,10 @@ def test_greedy_rejects_oversized_pools():
 def test_random_bdp_distinct_items_and_determinism():
     inst = build_instance(2, {1, 2}, {1: set(), 2: set()})
     first = random_single_item_bdp(
-        inst, 0b11, (1, 2), lambda b: 0, lambda b: 0, rng=7
+        inst, 0b11, (1, 2), lambda b: 0, lambda b: 0, rng=random.Random(7)
     )
     again = random_single_item_bdp(
-        inst, 0b11, (1, 2), lambda b: 0, lambda b: 0, rng=7
+        inst, 0b11, (1, 2), lambda b: 0, lambda b: 0, rng=random.Random(7)
     )
     assert first == again
     masks = [t.resale for t in first]
@@ -171,7 +171,7 @@ def test_random_bdp_distinct_items_and_determinism():
 def test_random_bdp_empty_pool_gives_empty_tuples():
     inst = build_instance(2, {1, 2}, {1: set(), 2: set()})
     tuples = random_single_item_bdp(
-        inst, 0, (1, 2), lambda b: 0, lambda b: 0, rng=7
+        inst, 0, (1, 2), lambda b: 0, lambda b: 0, rng=random.Random(7)
     )
     assert tuples == (BundleTuple(0, 0), BundleTuple(0, 0))
 

@@ -38,10 +38,6 @@ from netauction.model import (
 from test_model import build_instance
 
 
-def idm_mech(market, item_value):
-    return idm_run(market, item_value)[0]
-
-
 def engine_outcome(instance, cdp, bdp, single_item_mech):
     return dcaf_run_detailed(instance, cdp, bdp, single_item_mech).outcome
 
@@ -51,7 +47,7 @@ def resell(instance, distributor, bundle_tuple, pr, rev, **kwargs):
     distributor: her dominator subtree."""
     reach = all_critical_structures(instance).critical_children[distributor]
     return drp_run(
-        instance, distributor, bundle_tuple, pr, rev, idm_mech, reach=reach, **kwargs
+        instance, distributor, bundle_tuple, pr, rev, idm_run, reach=reach, **kwargs
     )
 
 
@@ -209,14 +205,14 @@ def test_reserve_bidder_winning_means_no_sale():
 
 def test_empty_network_empty_outcome():
     inst = build_instance(2, set(), {})
-    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
+    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_run)
     assert outcome.seller_revenue == 0
     assert all(b == 0 for b in outcome.allocation.values())
 
 
 def test_single_neighbor_reserves_at_zero():
     inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
-    outcome = engine_outcome(inst, trivial_cdp, greedy_bdp, idm_mech)
+    outcome = engine_outcome(inst, trivial_cdp, greedy_bdp, idm_run)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
     assert outcome.seller_revenue == 0
@@ -224,7 +220,7 @@ def test_single_neighbor_reserves_at_zero():
 
 def test_two_round_showcase_structure():
     run = dcaf_run_detailed(
-        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_mech
+        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_run
     )
     assert len(run.rounds) == 2
     first, second = run.rounds
@@ -246,19 +242,22 @@ def test_two_round_showcase_structure():
     assert outcome.payment[10] == outcome.payment[11] == 0
 
 
-def test_round_snapshots_are_built_on_first_read():
+def test_two_round_showcase_participants_and_frontier():
     run = dcaf_run_detailed(
-        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_mech
+        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_run
     )
-    assert "rounds" not in vars(run)
-    rounds = run.rounds
-    assert len(rounds) == 2
-    assert run.rounds is rounds
+    first, second = run.rounds
+    assert first.index == 0
+    assert first.participants == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+    assert first.frontier == (1, 2, 3, 4)
+    assert second.index == 1
+    assert second.participants == (6, 8, 10, 11)
+    assert second.frontier == (6,)
 
 
 def test_embedded_branch_reproduces_the_market():
     outcome = engine_outcome(
-        embedded_branch_fixture(), graph_exploration_cdp, greedy_bdp, idm_mech
+        embedded_branch_fixture(), graph_exploration_cdp, greedy_bdp, idm_run
     )
     assert outcome.allocation[2] == 1
     assert outcome.payment[2] == 6
@@ -273,7 +272,7 @@ def test_rounds_conserve_everything_on_random_corpus():
         FamilySpec(n=7, m=2, v_max=4, graph_model="erdos-renyi", count=120, seed=32)
     )
     for inst in family:
-        run = dcaf_run_detailed(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
+        run = dcaf_run_detailed(inst, graph_exploration_cdp, greedy_bdp, idm_run)
         check_outcome(inst, run.outcome)  # disjointness, revenue sum, untouched
         removed_so_far = set()
         for state in run.rounds:
@@ -288,7 +287,7 @@ def test_rounds_conserve_everything_on_random_corpus():
 def test_overlapping_tuples_rejected():
     inst = dealer_market()
 
-    def clashing_bdp(instance, remaining, candidates, pr, rev, rng=None):
+    def clashing_bdp(instance, remaining, candidates, pr, rev):
         return tuple(BundleTuple(remaining, remaining) for _ in candidates)
 
     with pytest.raises(InvalidTuple):
@@ -299,7 +298,7 @@ def test_overlapping_tuples_rejected():
             ),
             trivial_cdp,
             clashing_bdp,
-            idm_mech,
+            idm_run,
         )
 
 
@@ -308,7 +307,7 @@ def test_unqualified_bidders_untouched_regardless_of_reports():
         1, {1}, {1: set(), 2: {3}, 3: set()},
         {2: Valuation(1, (0, 9)), 3: Valuation(1, (0, 9))},
     )
-    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_mech)
+    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_run)
     assert outcome.allocation[2] == outcome.allocation[3] == 0
     assert outcome.payment[2] == outcome.payment[3] == 0
 
@@ -325,4 +324,4 @@ def test_unqualified_distributor_rejected():
         return DistributorPartition((2,), frozenset())
 
     with pytest.raises(UnqualifiedDistributor, match="candidate 2 is unreachable"):
-        dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, idm_mech)
+        dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, idm_run)

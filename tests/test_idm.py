@@ -17,8 +17,8 @@ def values_of(instance):
 
 def test_line_fixture():
     inst = line_market_fixture()
-    result, trace = idm_run(inst, values_of(inst))
-    assert trace.vstar == {1: 0, 2: 3, 3: 5}
+    result = idm_run(inst, values_of(inst))
+    assert result.vstar == {1: 0, 2: 3, 3: 5}
     assert result.winner == 1
     assert result.payments[1] == 0
     assert result.revenue == 0
@@ -26,10 +26,10 @@ def test_line_fixture():
 
 def test_branch_fixture():
     inst = branch_market_fixture()
-    result, trace = idm_run(inst, values_of(inst))
-    assert trace.top_bidder == 3
-    assert trace.critical_sequence == (1, 2, 3)
-    assert trace.vstar == {1: 2, 2: 6, 3: 9}
+    result = idm_run(inst, values_of(inst))
+    assert result.top_bidder == 3
+    assert result.critical_sequence == (1, 2, 3)
+    assert result.vstar == {1: 2, 2: 6, 3: 9}
     assert result.winner == 2
     assert result.payments[2] == 6
     assert result.payments[1] == -4
@@ -39,7 +39,7 @@ def test_branch_fixture():
 
 def test_single_bidder_pays_nothing():
     inst = scalar_market("line", (7,))
-    result, trace = idm_run(inst, values_of(inst))
+    result = idm_run(inst, values_of(inst))
     assert result.winner == 1
     assert result.payments[1] == 0
     assert result.revenue == 0
@@ -50,7 +50,7 @@ def test_empty_market_is_no_sale():
 
     inst = scalar_market("line", (3,))
     empty = AuctionInstance(1, frozenset(), dict(inst.reports))  # nobody invited
-    result, trace = idm_run(empty, {})
+    result = idm_run(empty, {})
     assert result.winner is None
     assert all(p == 0 for p in result.payments.values())
     assert result.revenue == 0
@@ -64,14 +64,14 @@ def test_revenue_identity_and_signs_on_random_markets():
         if not reachable:
             continue
         values = {i: rng.randint(0, 6) for i in reachable}
-        result, trace = idm_run(inst, values)
+        result = idm_run(inst, values)
         assert result.revenue == sum(result.payments.values())
         if result.winner is None:
             continue
         # revenue telescopes to the first v* on the winner's chain
-        seq = trace.critical_sequence
+        seq = result.critical_sequence
         win_pos = seq.index(result.winner)
-        assert result.revenue == trace.vstar[seq[0]]
+        assert result.revenue == result.vstar[seq[0]]
         assert result.revenue >= 0
         for i in seq[:win_pos]:
             assert result.payments[i] <= 0
@@ -80,7 +80,7 @@ def test_revenue_identity_and_signs_on_random_markets():
         assert result.payments[result.winner] <= values[result.winner]
         # vstar never decreases along the sequence
         for a, b in zip(seq, seq[1:]):
-            assert trace.vstar[a] <= trace.vstar[b]
+            assert result.vstar[a] <= result.vstar[b]
         # nobody outside the winner's chain pays or receives
         for i in result.payments:
             if i not in seq[: win_pos + 1]:

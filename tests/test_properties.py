@@ -64,10 +64,6 @@ def baseline(instance):
     return baseline_direct_second_price(instance)
 
 
-def idm_market_fn(market, item_value):
-    return idm_run(market, item_value)[0]
-
-
 TINY = topology_family(("line", "star", "branch"), 3, v_max=2)
 SPACE = DeviationSpace(v_max=2, budget=4096)
 
@@ -138,7 +134,7 @@ def test_greedy_locality_clean():
 
 def test_idm_revenue_consistency_clean():
     markets = topology_family(("line", "star", "branch"), 3, v_max=3)
-    result = check_revenue_consistency(idm_market_fn, markets, range(0, 7))
+    result = check_revenue_consistency(idm_run, markets, range(0, 7))
     assert result.ok
 
 
