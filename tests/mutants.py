@@ -6,6 +6,7 @@ the mutation tests assert the checkers flag them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Mapping, Sequence
 
@@ -106,6 +107,32 @@ def valuation_ranked_cdp(
         discovered: set[int] = set()
         for j in non_trading:
             discovered |= residual_instance.reports[j].neighbors
+        discovered &= residual_instance.bidders
+        layer = sorted(discovered - classified)
+    return DistributorPartition(tuple(candidates), frozenset(non_trading))
+
+
+def invited_count_cdp(
+    residual_instance: AuctionInstance, frontier: Sequence[int]
+) -> DistributorPartition:
+    """Graph exploration ranked by how many reports invite each bidder,
+    reachable or not: an unclassified bidder's invitations move the ranks of
+    the bidders she names, so her report changes the split."""
+    reports = residual_instance.reports
+    invited = Counter(j for rep in reports.values() for j in rep.neighbors)
+    candidates: list[int] = []
+    non_trading: set[int] = set()
+    classified: set[int] = set()
+    layer = [i for i in frontier if i in reports]
+    while layer:
+        ranked = sorted(layer, key=lambda i: (-invited[i], i))
+        cut = (len(ranked) + 1) // 2
+        candidates.extend(ranked[:cut])
+        non_trading.update(ranked[cut:])
+        classified.update(ranked)
+        discovered: set[int] = set()
+        for j in non_trading:
+            discovered |= reports[j].neighbors
         discovered &= residual_instance.bidders
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))

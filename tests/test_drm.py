@@ -14,15 +14,19 @@ from netauction.drm import (
     run_with_config,
     trivial_cdp,
 )
-from netauction.framework import BundleTuple
+from netauction.framework import BundleTuple, DistributorPartition
 from netauction.generate import (
     FamilySpec,
+    all_digraph_networks,
     embedded_branch_fixture,
     generate_instances,
+    network_instance,
     two_round_showcase,
 )
 from netauction.model import (
     AuctionError,
+    AuctionInstance,
+    BidderReport,
     MechanismConfig,
     Valuation,
     full_bundle,
@@ -64,6 +68,67 @@ def test_singleton_frontier_is_a_lone_candidate():
     part = graph_exploration_cdp(inst, (1,))
     assert part.candidates == (1,)
     assert part.non_trading == frozenset()
+
+
+def reference_exploration_cdp(residual_instance, frontier):
+    """The split as first written: every layer re-expands every price setter
+    found so far, keeps what lies among the reporting bidders and sorts by id
+    before ranking by degree."""
+    candidates = []
+    non_trading = set()
+    classified = set()
+    layer = sorted({i for i in frontier if i in residual_instance.reports})
+    while layer:
+        ranked = sorted(
+            layer, key=lambda i: (-len(residual_instance.reports[i].neighbors), i)
+        )
+        cut = (len(ranked) + 1) // 2
+        candidates.extend(ranked[:cut])
+        non_trading.update(ranked[cut:])
+        classified.update(ranked)
+        discovered = set()
+        for j in non_trading:
+            discovered |= residual_instance.reports[j].neighbors
+        discovered &= residual_instance.bidders
+        layer = sorted(discovered - classified)
+    return DistributorPartition(tuple(candidates), frozenset(non_trading))
+
+
+def ragged_network(rng):
+    """A random invitation graph with the shapes a residual instance can
+    have: invitees without reports, self-invitations, and a frontier that is
+    unsorted, repeats ids and names ids nobody reports for."""
+    n = rng.randint(1, 40)
+    ids = rng.sample(range(1, 3 * n + 1), n)
+    universe = ids + [max(ids) + k for k in range(1, 6)]
+    p = rng.choice((0.05, 0.15, 0.4))
+    reports = {
+        i: BidderReport(
+            i, Valuation.zero(1), frozenset(j for j in universe if rng.random() < p)
+        )
+        for i in ids
+    }
+    frontier = [rng.choice(universe) for _ in range(rng.randint(0, 8))]
+    return AuctionInstance(1, frozenset(frontier), reports), tuple(frontier)
+
+
+def test_split_matches_the_reference_on_every_small_digraph():
+    for n in range(1, 4):
+        for seller, out_edges in all_digraph_networks(n):
+            inst = network_instance(seller, out_edges)
+            frontier = tuple(sorted(seller))
+            assert graph_exploration_cdp(inst, frontier) == (
+                reference_exploration_cdp(inst, frontier)
+            )
+
+
+def test_split_matches_the_reference_on_ragged_random_graphs():
+    rng = random.Random(8)
+    for _ in range(300):
+        inst, frontier = ragged_network(rng)
+        assert graph_exploration_cdp(inst, frontier) == (
+            reference_exploration_cdp(inst, frontier)
+        )
 
 
 def test_trivial_cdp_takes_the_whole_frontier():

@@ -2,6 +2,7 @@
 and every reported counterexample replays exactly."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -260,6 +261,40 @@ def test_valuation_ranked_cdp_caught_by_cdc():
     )
     assert not result.ok
     assert any("valuation" in v.note for v in result.violations)
+
+
+@pytest.mark.parametrize(
+    "cdp, counts",
+    [
+        (
+            mutants.invited_count_cdp,
+            {
+                "unclassified bidder changed the split": 54,
+                "left the non-trading side by deviating": 162,
+                "candidate dropped after reporting more": 235,
+            },
+        ),
+        (
+            mutants.ascending_degree_cdp,
+            {
+                "left the non-trading side by deviating": 324,
+                "candidate dropped after reporting more": 420,
+            },
+        ),
+        (
+            mutants.valuation_ranked_cdp,
+            {"split depends on a valuation report": 256},
+        ),
+    ],
+    ids=["invited-count", "ascending-degree", "valuation-ranked"],
+)
+def test_cdc_violation_counts_per_rule(cdp, counts):
+    """Each planted split trips exactly the rules it breaks, as often as
+    pinned; invited-count is the one mutant behind the unclassified rule."""
+    result = check_cdp_consistency(cdp, all_digraph_networks(3))
+    assert result.instances == 512
+    assert result.cases == 4992
+    assert Counter(v.note for v in result.violations) == counts
 
 
 def locality_trap_instance():
