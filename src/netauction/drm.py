@@ -60,25 +60,29 @@ def graph_exploration_cdp(
     each newly discovered layer (by reported degree, ties to the lower id) to
     the candidate side and the bottom half to the non-trading side.
     Discovery follows only non-traders' reported neighbors, so a bidder's own
-    report never affects her own classification beyond her rank."""
+    report never affects her own classification beyond her rank.
+
+    Each layer expands only the price setters it has just classified: an
+    earlier price setter's reporting invitees were all classified in the
+    layer after hers, so expanding her again would find nothing new."""
+    reports = residual_instance.reports
     candidates: list[int] = []
     non_trading: set[int] = set()
     classified: set[int] = set()
-
-    layer = sorted({i for i in frontier if i in residual_instance.reports})
+    layer = {i for i in frontier if i in reports}
     while layer:
-        ranked = sorted(
-            layer, key=lambda i: (-len(residual_instance.reports[i].neighbors), i)
-        )
+        ranked = sorted(layer, key=lambda i: (-len(reports[i].neighbors), i))
         cut = (len(ranked) + 1) // 2
         candidates.extend(ranked[:cut])
-        non_trading.update(ranked[cut:])
-        classified.update(ranked)
-        discovered: set[int] = set()
-        for j in non_trading:
-            discovered |= residual_instance.reports[j].neighbors
-        discovered &= residual_instance.bidders
-        layer = sorted(discovered - classified)
+        setters = ranked[cut:]
+        non_trading.update(setters)
+        classified |= layer
+        layer = {
+            j
+            for i in setters
+            for j in reports[i].neighbors
+            if j in reports and j not in classified
+        }
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 
 

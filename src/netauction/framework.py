@@ -57,7 +57,7 @@ class DistributorPartition:
     non_trading: frozenset[int]
 
     def __post_init__(self):
-        if set(self.candidates) & self.non_trading:
+        if not self.non_trading.isdisjoint(self.candidates):
             raise InvalidTuple("candidate and non-trading sets overlap")
 
 

@@ -196,13 +196,16 @@ class Valuation:
         validation instead of being silently papered over."""
         vals = [0] * (1 << m)
         for mask in range(1, 1 << m):
+            if mask in pairs:
+                vals[mask] = pairs[mask]
+                continue
             envelope = 0
             rest = mask
             while rest:
                 bit = rest & -rest
                 envelope = max(envelope, vals[mask ^ bit])
                 rest ^= bit
-            vals[mask] = pairs[mask] if mask in pairs else envelope
+            vals[mask] = envelope
         if 0 in pairs:
             vals[0] = pairs[0]
         return cls(m, tuple(vals))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .drm import graph_exploration_cdp
 from .framework import (
@@ -135,14 +135,18 @@ def _subsets(items: frozenset[int]) -> list[frozenset[int]]:
     ]
 
 
-def _nested_pairs(
-    subs: list[frozenset[int]],
-) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    """Every strictly nested (smaller, larger) pair of ``subs``."""
-    for a, b in itertools.combinations(subs, 2):
-        lo, hi = (a, b) if a <= b else (b, a)
-        if lo < hi:
-            yield lo, hi
+def _subset_lattice(
+    items: frozenset[int],
+) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    """:func:`_subsets` of ``items`` plus the index pair (lo, hi) of every
+    strictly nested pair of them, smaller first; the full set comes last."""
+    subs = _subsets(items)
+    pairs = [
+        (lo, hi)
+        for lo, hi in itertools.combinations(range(len(subs)), 2)
+        if subs[lo] < subs[hi]
+    ]
+    return subs, pairs
 
 
 def _unilateral_deviations(
@@ -321,63 +325,55 @@ def check_cdp_consistency(
 
     Also probes the split's type contract (a candidate split is a function
     of invitation reports alone) by bumping one valuation at a time and
-    requiring bitwise-identical output."""
+    requiring bitwise-identical output.
+
+    Each bidder costs one split call and one instance copy per neighbor
+    subset plus one for the probe, and one report copy per subset.  Each
+    split is reduced once to its (candidate set, non-trading set), and the
+    subsets and nested pairs of each distinct neighbor set are built once
+    per call."""
     result = CheckResult("CDC", "exhaustive")
+    lattices: dict[frozenset[int], tuple[list, list]] = {}
+    probes: dict[int, Valuation] = {}
+
+    def flag(inst: AuctionInstance, i: int, deviation: BidderReport, note: str):
+        result.violations.append(Violation("CDC", inst, i, deviation, 0, note=note))
+
     for seller, out_edges in networks:
         result.instances += 1
         inst = network_instance(seller, out_edges)
-        probe_table = Valuation.from_pairs(inst.m, {full_bundle(inst.m): 7})
+        if inst.m not in probes:
+            probes[inst.m] = Valuation.from_pairs(inst.m, {full_bundle(inst.m): 7})
         frontier = tuple(sorted(seller))
         for i, true_neighbors in out_edges.items():
-            subs = _subsets(true_neighbors)
-            outputs: dict[frozenset[int], DistributorPartition] = {}
+            if true_neighbors not in lattices:
+                lattices[true_neighbors] = _subset_lattice(true_neighbors)
+            subs, pairs = lattices[true_neighbors]
             rep = inst.reports[i]
+            splits = []
             for sub in subs:
-                outputs[sub] = cdp(inst.with_report(rep.with_neighbors(sub)), frontier)
-                result.cases += 1
-            full = outputs[true_neighbors]
-            bumped = cdp(inst.with_report(rep.with_valuation(probe_table)), frontier)
-            result.cases += 1
-            if (
-                set(bumped.candidates) != set(full.candidates)
-                or bumped.non_trading != full.non_trading
-            ):
-                result.violations.append(
-                    Violation(
-                        "CDC", inst, i, rep.with_valuation(probe_table), 0,
-                        note="split depends on a valuation report",
-                    )
-                )
-            for sub in subs:
-                if i in full.non_trading and i not in outputs[sub].non_trading:
-                    result.violations.append(
-                        Violation(
-                            "CDC", inst, i, rep.with_neighbors(sub), 0,
-                            note="left the non-trading side by deviating",
-                        )
-                    )
-            for lo, hi in _nested_pairs(subs):
-                out_lo, out_hi = outputs[lo], outputs[hi]
-                if i in out_lo.candidates and i not in out_hi.candidates:
-                    result.violations.append(
-                        Violation(
-                            "CDC", inst, i, rep.with_neighbors(hi), 0,
-                            note="candidate dropped after reporting more",
-                        )
-                    )
-                unclassified = (
-                    i not in out_lo.candidates and i not in out_lo.non_trading
-                )
-                if unclassified and (
-                    set(out_lo.candidates) != set(out_hi.candidates)
-                    or out_lo.non_trading != out_hi.non_trading
-                ):
-                    result.violations.append(
-                        Violation(
-                            "CDC", inst, i, rep.with_neighbors(hi), 0,
-                            note="unclassified bidder changed the split",
-                        )
-                    )
+                part = cdp(inst.with_report(rep.with_neighbors(sub)), frontier)
+                splits.append((frozenset(part.candidates), part.non_trading))
+            full = splits[-1]
+            probe = rep.with_valuation(probes[inst.m])
+            bumped = cdp(inst.with_report(probe), frontier)
+            result.cases += len(subs) + 1
+            if (frozenset(bumped.candidates), bumped.non_trading) != full:
+                flag(inst, i, probe, "split depends on a valuation report")
+            if i in full[1]:
+                for sub, (_, non_trading) in zip(subs, splits):
+                    if i not in non_trading:
+                        flag(inst, i, rep.with_neighbors(sub),
+                             "left the non-trading side by deviating")
+            for lo, hi in pairs:
+                cands_lo, non_trading_lo = splits[lo]
+                if i in cands_lo:
+                    if i not in splits[hi][0]:
+                        flag(inst, i, rep.with_neighbors(subs[hi]),
+                             "candidate dropped after reporting more")
+                elif i not in non_trading_lo and splits[lo] != splits[hi]:
+                    flag(inst, i, rep.with_neighbors(subs[hi]),
+                         "unclassified bidder changed the split")
     return result
 
 
@@ -437,17 +433,17 @@ def check_rdm_end_to_end(
         candidates = graph_exploration_cdp(truthful, frontier).candidates
         for i in candidates:
             true_rep = truthful.reports[i]
-            subs = _subsets(true_rep.neighbors)
-            utilities = {}
+            subs, pairs = _subset_lattice(true_rep.neighbors)
+            utilities = []
             for sub in subs:
                 outcome = mechanism(truthful.with_report(true_rep.with_neighbors(sub)))
                 result.cases += 1
-                utilities[sub] = utility(true_rep, outcome, i)
-            for lo, hi in _nested_pairs(subs):
+                utilities.append(utility(true_rep, outcome, i))
+            for lo, hi in pairs:
                 if utilities[lo] > utilities[hi]:
                     result.violations.append(
                         Violation(
-                            "RDM", inst, i, true_rep.with_neighbors(lo),
+                            "RDM", inst, i, true_rep.with_neighbors(subs[lo]),
                             utilities[lo] - utilities[hi],
                             note="utility fell as the invitation report grew",
                         )

@@ -1,5 +1,7 @@
 """Model types, validation, qualification, and utility arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,40 @@ def test_subbundle_order_is_size_then_lexicographic():
         assert list(iter_subbundles(pool)) == sorted(
             subsets, key=lambda b: (bin(b).count("1"), bundle_items(b))
         )
+
+
+def reference_from_pairs(m, pairs):
+    """The table completion as first written: the monotone envelope of every
+    mask, thrown away where the mask is listed."""
+    vals = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        envelope = 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            envelope = max(envelope, vals[mask ^ bit])
+            rest ^= bit
+        vals[mask] = pairs[mask] if mask in pairs else envelope
+    if 0 in pairs:
+        vals[0] = pairs[0]
+    return Valuation(m, tuple(vals))
+
+
+def test_from_pairs_matches_the_reference_completion():
+    rng = random.Random(5)
+    for m in range(0, 9):
+        masks = range(1 << m)
+        listings = [
+            {b: rng.randint(0, 50) for b in masks},  # full, non-monotone
+            {b: bin(b).count("1") * 3 for b in masks},  # full, monotone
+            {},
+        ]
+        for share in (0.05, 0.3):
+            listings.append(
+                {b: rng.randint(0, 50) for b in masks if rng.random() < share}
+            )
+        for pairs in listings:
+            assert Valuation.from_pairs(m, pairs) == reference_from_pairs(m, pairs)
 
 
 # ---------------------------------------------------------------------------
