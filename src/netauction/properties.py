@@ -17,7 +17,6 @@ from .drm import graph_exploration_cdp
 from .framework import (
     Bdp,
     Cdp,
-    DistributorPartition,
     SingleItemMech,
     price_fn,
     resale_revenue_fn,
