@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import replace
 from typing import Mapping, Sequence
 
+from netauction.drm import graph_exploration_cdp
 from netauction.framework import BundleTuple, DistributorPartition
 from netauction.idm import SingleItemResult, idm_run
 from netauction.model import (
@@ -136,6 +137,20 @@ def invited_count_cdp(
         discovered &= residual_instance.bidders
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
+
+
+def outside_invited_cdp(
+    residual_instance: AuctionInstance, frontier: Sequence[int]
+) -> DistributorPartition:
+    """The exploration split minus every price setter that a bidder the
+    split left out names: an unclassified bidder's invitations move only the
+    non-trading side, and the candidates stay as they were."""
+    part = graph_exploration_cdp(residual_instance, frontier)
+    named: set[int] = set()
+    for i, rep in residual_instance.reports.items():
+        if i not in part.non_trading and i not in part.candidates:
+            named |= rep.neighbors
+    return DistributorPartition(part.candidates, part.non_trading - named)
 
 
 def degree_ordered_greedy_bdp(

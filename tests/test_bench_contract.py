@@ -51,10 +51,30 @@ def traced_calls(workload):
 def test_lab_ic_tracing_reaches_every_engine_layer():
     # A patched name the engine no longer looks up at call time (bound at
     # import, in a default argument or in an early partial) reads zero here.
+    # The counts pin the work of one tiny sweep, so an engine change that
+    # adds or drops a call on any layer fails here as well.
     idle = {"generate.all_digraph_networks", "model.BidderReport.with_neighbors",
             "properties.check_cdp_consistency"}
     calls = traced_calls("lab-ic")
     assert {span for span, n in calls.items() if n == 0} == idle
+    assert {span: n for span, n in calls.items() if n} == {
+        "framework.dcaf_run_detailed": 6216,
+        "framework.drp_run": 6768,
+        "framework.price_fn": 29110,
+        "framework.resale_revenue_fn": 30911,
+        "drm.greedy_bdp": 6310,
+        "drm.graph_exploration_cdp": 6310,
+        "model.iter_subbundles": 6768,
+        "model.restrict_instance": 10794,
+        "model.check_outcome": 6216,
+        "model.AuctionInstance.with_report": 5631,
+        "critical.all_critical_structures.round": 6310,
+        "critical.all_critical_structures.idm": 4484,
+        "idm.idm_run": 4484,
+        "properties.check_ic": 1,
+        "generate.generate_instances": 2,  # per set-up
+        "generate.topology_family": 2,
+    }
 
 
 def test_lab_cdc_tracing_reaches_the_split_and_report_copies():

@@ -1,6 +1,7 @@
 """Concrete processes: exploration split, bundle division, full dealer runs."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from netauction.model import (
     MechanismConfig,
     Valuation,
     full_bundle,
+    iter_subbundles,
 )
 
 from test_model import build_instance
@@ -207,6 +209,57 @@ def test_greedy_candidates_never_overlap():
         for tup in tuples:
             assert tup.footprint() & taken == 0
             taken |= tup.footprint()
+
+
+def reference_greedy_bdp(residual_instance, remaining, candidates, pr, rev, ties):
+    """Greedy division as first written: two value reads per bundle and the
+    resale score through ``max``.  ``ties`` counts, per objective, the
+    bundles that matched the best positive score so far and lost."""
+    tuples = {}
+    pool = remaining
+    for cand in sorted(candidates):
+        value = residual_instance.reports[cand].valuation.of
+        best_resale, best_resale_score = 0, 0
+        best_reserve, best_reserve_score = 0, 0
+        for b in iter_subbundles(pool):
+            price = pr(b)
+            resale_score = max(value(b), rev(b)) - price
+            reserve_score = value(b) - price
+            if resale_score > best_resale_score:
+                best_resale, best_resale_score = b, resale_score
+            elif resale_score == best_resale_score > 0:
+                ties["resale"] += 1
+            if reserve_score > best_reserve_score:
+                best_reserve, best_reserve_score = b, reserve_score
+            elif reserve_score == best_reserve_score > 0:
+                ties["reserve"] += 1
+        tuples[cand] = BundleTuple(best_resale, best_reserve)
+        pool &= ~(best_resale | best_reserve)
+    return tuple(tuples[c] for c in candidates)
+
+
+def test_greedy_matches_the_reference_on_seeded_markets():
+    from netauction.generate import random_valuation
+
+    rng = random.Random(21)
+    ties = Counter()
+    for _ in range(500):
+        m = rng.randint(0, 6)
+        pool = rng.randrange(1 << m)  # items missing from the pool
+        v_max = rng.choice((1, 3, 8))
+        candidates = tuple(rng.sample(range(1, 6), rng.randint(1, 3)))
+        reports = {
+            i: BidderReport(i, random_valuation(m, v_max, rng), frozenset())
+            for i in candidates
+        }
+        inst = AuctionInstance(m, frozenset(candidates), reports)
+        revenue = [0] + [rng.randint(0, v_max) for _ in range(1, 1 << m)]
+        price = [0] + [rng.choice((0, r, rng.randint(0, r))) for r in revenue[1:]]
+        pr, rev = price.__getitem__, revenue.__getitem__
+        assert greedy_bdp(inst, pool, candidates, pr, rev) == (
+            reference_greedy_bdp(inst, pool, candidates, pr, rev, ties)
+        )
+    assert ties["resale"] and ties["reserve"]
 
 
 def test_greedy_rejects_oversized_pools():

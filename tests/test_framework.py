@@ -1,5 +1,7 @@
 """Round engine: pricing, resale process branches, loop invariants."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +90,27 @@ def test_price_matches_sort_oracle(values):
     ordered = sorted(values, reverse=True)
     assert resale_revenue_fn(reps, 1) == ordered[0]
     assert price_fn(reps, 1) == ordered[1]
+
+
+def test_pricing_matches_its_max_and_sorted_definitions():
+    # Every bundle of seeded multi-item tables, for 0, 1 and several
+    # non-traders, including tied and all-zero values.
+    from netauction.generate import random_valuation
+
+    rng = random.Random(5)
+    for count in (0, 1, 2, 3, 5):
+        for _ in range(40):
+            m = rng.randint(0, 3)
+            reps = [
+                BidderReport(k, random_valuation(m, rng.choice((0, 2, 9)), rng),
+                             frozenset())
+                for k in range(count)
+            ]
+            for bundle in range(1 << m):
+                values = [rep.valuation.of(bundle) for rep in reps]
+                assert resale_revenue_fn(reps, bundle) == max(values, default=0)
+                second = sorted(values, reverse=True)[1] if count >= 2 else 0
+                assert price_fn(reps, bundle) == second
 
 
 def test_figure_style_prices():

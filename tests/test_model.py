@@ -69,11 +69,21 @@ def test_subbundle_order_is_size_then_lexicographic():
         (1, 2), (1, 4), (2, 4),
         (1, 2, 4),
     ]
+    # 256 pools, more than any small cache holds, so entries also get
+    # evicted and rebuilt along the way.
     for pool in range(1 << 8):
         subsets = [b for b in range(pool + 1) if b & pool == b]
-        assert list(iter_subbundles(pool)) == sorted(
+        expected = sorted(
             subsets, key=lambda b: (bin(b).count("1"), bundle_items(b))
         )
+        assert list(iter_subbundles(pool)) == expected
+        assert list(iter_subbundles(pool)) == expected
+        # Two iterators over one pool, consumed in turn, do not share a
+        # position.
+        first, second = iter_subbundles(pool), iter_subbundles(pool)
+        interleaved = [(next(first), next(second)) for _ in expected]
+        assert interleaved == [(b, b) for b in expected]
+        assert next(first, None) is None and next(second, None) is None
 
 
 def reference_from_pairs(m, pairs):

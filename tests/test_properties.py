@@ -276,6 +276,15 @@ def test_invited_count_cdp_caught_by_cdc():
     }
 
 
+def test_outside_invited_cdp_caught_by_cdc():
+    # Only the non-trading side moves, so an unclassified-bidder rule that
+    # compared candidate sets alone would miss most of these.
+    assert cdc_notes(mutants.outside_invited_cdp) == {
+        "unclassified bidder changed the split": 318,
+        "left the non-trading side by deviating": 36,
+    }
+
+
 def locality_trap_instance():
     """Two candidates whose queue position flips with a hidden neighbor,
     fighting over one item."""
