@@ -139,18 +139,21 @@ def greedy_bdp(
     non-negative at the chosen bundles; ties prefer fewer items, then the
     lexicographically smallest item list.
     """
-    if bin(remaining).count("1") > GREEDY_MAX_POOL:
-        raise TooManyItems(bin(remaining).count("1"))
+    size = remaining.bit_count()
+    if size > GREEDY_MAX_POOL:
+        raise TooManyItems(size)
     tuples: dict[int, BundleTuple] = {}
     pool = remaining
     for cand in sorted(candidates):
-        value = residual_instance.reports[cand].valuation.of
+        values = residual_instance.reports[cand].valuation.values
         best_resale, best_resale_score = 0, 0
         best_reserve, best_reserve_score = 0, 0
         for b in iter_subbundles(pool):
+            value = values[b]
             price = pr(b)
-            resale_score = max(value(b), rev(b)) - price
-            reserve_score = value(b) - price
+            revenue = rev(b)
+            resale_score = (value if value > revenue else revenue) - price
+            reserve_score = value - price
             if resale_score > best_resale_score:
                 best_resale, best_resale_score = b, resale_score
             if reserve_score > best_reserve_score:

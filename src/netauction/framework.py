@@ -133,7 +133,9 @@ def price_fn(tn_reports: Sequence[BidderReport], bundle: Bundle) -> Money:
 def resale_revenue_fn(tn_reports: Sequence[BidderReport], bundle: Bundle) -> Money:
     """Highest reported value for the bundle among non-traders; zero when
     none exist.  Never below :func:`price_fn` on the same inputs."""
-    return max((rep.valuation.of(bundle) for rep in tn_reports), default=0)
+    if not tn_reports:
+        return 0
+    return max([rep.valuation.values[bundle] for rep in tn_reports])
 
 
 PRICING = {"second-first": (price_fn, resale_revenue_fn)}
@@ -183,8 +185,8 @@ def drp_run(
     resale revenue next to the local seller, flooring the local price.
     """
     locals_ = reach - {distributor}
-    allocation = {j: 0 for j in reach}
-    payment = {j: 0 for j in reach}
+    allocation = dict.fromkeys(reach, 0)
+    payment = dict.fromkeys(reach, 0)
 
     resale = bundle_tuple.resale
     if resale and locals_:
@@ -209,11 +211,12 @@ def drp_run(
             if virtual is not None and result.payments.get(virtual, 0) != 0:
                 raise AuctionError("virtual reserve bid must never pay")
             revenue = result.revenue
-            if revenue >= rev(resale):
+            bar = rev(resale)
+            if revenue >= bar:
                 for j in locals_:
                     payment[j] = result.payments.get(j, 0)
                 allocation[result.winner] = resale
-                payment[distributor] = pr(resale) - rev(resale)
+                payment[distributor] = pr(resale) - bar
                 return DrpResult(allocation, payment, True, revenue)
 
     reserve = bundle_tuple.reserve
@@ -246,8 +249,8 @@ def dcaf_run_detailed(
     alive = set(instance.reports)
     remaining = full_bundle(instance.m)
     frontier = tuple(sorted(i for i in instance.seller_neighbors if i in alive))
-    allocation = {i: 0 for i in instance.reports}
-    payment = {i: 0 for i in instance.reports}
+    allocation = dict.fromkeys(instance.reports, 0)
+    payment = dict.fromkeys(instance.reports, 0)
     rounds: list[RoundState] = []
 
     while remaining and alive and frontier:
@@ -305,7 +308,7 @@ def dcaf_run_detailed(
             intake, items_before, remaining, removed,
         ))
 
-    outcome = Outcome.from_maps(allocation, payment)
+    outcome = Outcome(allocation, payment, sum(payment.values()))
     check_outcome(instance, outcome)
     return DcafRun(outcome, tuple(rounds))
 

@@ -47,9 +47,9 @@ def idm_run(
     """
     structure = all_critical_structures(local_instance)
     qualified = structure.critical_nodes.keys()
-    zero_payments = {i: 0 for i in local_instance.reports}
+    payments = dict.fromkeys(local_instance.reports, 0)
     if not qualified:
-        return SingleItemResult(None, zero_payments, 0)
+        return SingleItemResult(None, payments, 0)
     for i in qualified:
         if i not in item_value:
             raise KeyError(f"no item value for qualified bidder {i}")
@@ -71,7 +71,6 @@ def idm_run(
             winner = i
             break
 
-    payments = dict(zero_payments)
     # The winner's own critical sequence is the prefix of the top bidder's
     # sequence ending at her (dominator-tree ancestor chain).
     win_pos = sequence.index(winner)

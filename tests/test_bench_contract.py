@@ -61,7 +61,7 @@ def test_lab_ic_tracing_reaches_every_engine_layer():
         "framework.dcaf_run_detailed": 6216,
         "framework.drp_run": 6768,
         "framework.price_fn": 29110,
-        "framework.resale_revenue_fn": 30911,
+        "framework.resale_revenue_fn": 26826,
         "drm.greedy_bdp": 6310,
         "drm.graph_exploration_cdp": 6310,
         "model.iter_subbundles": 6768,
