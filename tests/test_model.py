@@ -69,8 +69,8 @@ def test_subbundle_order_is_size_then_lexicographic():
         (1, 2), (1, 4), (2, 4),
         (1, 2, 4),
     ]
-    # 256 pools, more than any small cache holds, so entries also get
-    # evicted and rebuilt along the way.
+    # 256 pools, more than the 32-entry sub-bundle memo holds, so entries
+    # also get evicted and rebuilt along the way.
     for pool in range(1 << 8):
         subsets = [b for b in range(pool + 1) if b & pool == b]
         expected = sorted(
