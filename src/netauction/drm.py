@@ -19,10 +19,11 @@ from .framework import (
     BundleTuple,
     DistributorPartition,
     PRICING,
+    SingleItemMech,
     dcaf_run_detailed,
     DcafRun,
 )
-from .idm import idm_run
+from .idm import SingleItemResult, idm_run
 from .model import (
     AuctionError,
     AuctionInstance,
@@ -199,15 +200,22 @@ def run_with_config_detailed(
     )
 
 
+def sell_grand_bundle(
+    instance: AuctionInstance, single_item_mech: SingleItemMech
+) -> SingleItemResult:
+    """Sell all items as one lot to the qualified bidders at their reported values."""
+    grand = full_bundle(instance.m)
+    qualified = qualified_set(instance)
+    values = {i: instance.reports[i].valuation.of(grand) for i in qualified}
+    return single_item_mech(instance, values)
+
+
 def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     """IDM run directly on the instance, selling all items as one lot."""
-    qualified = qualified_set(instance)
-    grand = full_bundle(instance.m)
-    values = {i: instance.reports[i].valuation.of(grand) for i in qualified}
-    result = idm_run(instance, values)
+    result = sell_grand_bundle(instance, idm_run)
     allocation = {i: 0 for i in instance.reports}
     if result.winner is not None:
-        allocation[result.winner] = grand
+        allocation[result.winner] = full_bundle(instance.m)
     payment = {i: result.payments.get(i, 0) for i in instance.reports}
     return Outcome.from_maps(allocation, payment)
 

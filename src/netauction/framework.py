@@ -14,6 +14,7 @@ frontier, and unsold items stay in the pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .critical import all_critical_structures
@@ -141,6 +142,18 @@ def resale_revenue_fn(tn_reports: Sequence[BidderReport], bundle: Bundle) -> Mon
 PRICING = {"second-first": (price_fn, resale_revenue_fn)}
 
 
+def round_prices(
+    residual: AuctionInstance,
+    partition: DistributorPartition,
+    pr_fn: PriceFn = price_fn,
+    rev_fn: PriceFn = resale_revenue_fn,
+) -> tuple[BoundPrice, BoundPrice]:
+    """A round's bundle price and resale revenue: both pricing rules bound to
+    one list of the non-traders' reports, in id order."""
+    tn_reports = [residual.reports[j] for j in sorted(partition.non_trading)]
+    return partial(pr_fn, tn_reports), partial(rev_fn, tn_reports)
+
+
 # ---------------------------------------------------------------------------
 # Diffusion resale process
 # ---------------------------------------------------------------------------
@@ -211,7 +224,7 @@ def drp_run(
             if virtual is not None and result.payments.get(virtual, 0) != 0:
                 raise AuctionError("virtual reserve bid must never pay")
             revenue = result.revenue
-            bar = rev(resale)
+            bar = rev(resale) if virtual is None else item_value[virtual]
             if revenue >= bar:
                 for j in locals_:
                     payment[j] = result.payments.get(j, 0)
@@ -256,16 +269,16 @@ def dcaf_run_detailed(
     while remaining and alive and frontier:
         residual = restrict_instance(instance, alive, frontier)
         partition = cdp(residual, frontier)
-        tn_reports = [residual.reports[j] for j in sorted(partition.non_trading)]
-        pr = lambda b: pr_fn(tn_reports, b)  # noqa: E731 - bound per round
-        rev = lambda b: rev_fn(tn_reports, b)  # noqa: E731
+        pr, rev = round_prices(residual, partition, pr_fn, rev_fn)
         tuples = bdp(residual, remaining, partition.candidates, pr, rev)
-        _check_tuples(tuples, remaining)
+        _check_tuples(tuples, len(partition.candidates), remaining)
 
         structure = all_critical_structures(residual)
-        reaches = []
         claimed: set[int] = set()
-        for cand in partition.candidates:
+        intake = 0
+        sold = 0
+        resold_flags = []
+        for cand, tup in zip(partition.candidates, tuples):
             if cand not in structure.critical_children:
                 raise UnqualifiedDistributor(
                     f"candidate {cand} is unreachable in the residual graph"
@@ -277,13 +290,6 @@ def dcaf_run_detailed(
                     "the CDP/BDP combination is unsound"
                 )
             claimed |= reach
-            reaches.append(reach)
-
-        intake = 0
-        sold = 0
-        resold_flags = []
-        items_before = remaining
-        for cand, tup, reach in zip(partition.candidates, tuples, reaches):
             result = drp_run(
                 residual, cand, tup, pr, rev, single_item_mech,
                 reach=reach, reserve_bidder=reserve_bidder,
@@ -297,23 +303,25 @@ def dcaf_run_detailed(
             resold_flags.append(result.resold)
 
         removed = frozenset(claimed | partition.non_trading)
+        rounds.append(RoundState(
+            len(rounds), residual, partition, tuples, tuple(resold_flags),
+            intake, remaining, remaining & ~sold, removed,
+        ))
         alive -= removed
         remaining &= ~sold
         next_frontier = set()
         for j in removed:
             next_frontier |= instance.reports[j].neighbors
         frontier = tuple(sorted(next_frontier & alive))
-        rounds.append(RoundState(
-            len(rounds), residual, partition, tuples, tuple(resold_flags),
-            intake, items_before, remaining, removed,
-        ))
 
     outcome = Outcome(allocation, payment, sum(payment.values()))
     check_outcome(instance, outcome)
     return DcafRun(outcome, tuple(rounds))
 
 
-def _check_tuples(tuples: Sequence[BundleTuple], remaining: Bundle) -> None:
+def _check_tuples(tuples: Sequence[BundleTuple], count: int, remaining: Bundle) -> None:
+    if len(tuples) != count:
+        raise InvalidTuple(f"{len(tuples)} bundle tuples for {count} candidates")
     union = 0
     for tup in tuples:
         footprint = tup.footprint()

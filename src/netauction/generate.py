@@ -1,7 +1,7 @@
 """Seeded instance families, exhaustive network enumerations, and fixtures.
 
 Everything here is deterministic given its seed, so generated corpora can be
-regenerated byte-for-byte and every reported counterexample replays.
+regenerated byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .model import (
+    MAX_ITEMS,
     AuctionError,
     AuctionInstance,
     BidderReport,
     Money,
     Valuation,
+    monotone_floor,
     validate_instance,
 )
 
@@ -57,13 +59,7 @@ def random_valuation(m: int, v_max: int, rng: random.Random) -> Valuation:
         low = mask & -mask
         additive[mask] = additive[mask ^ low] + per_item[low.bit_length() - 1]
         bonus = rng.randint(0, v_max) if mask != low else 0
-        floor = 0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            floor = max(floor, vals[mask ^ bit])
-            rest ^= bit
-        vals[mask] = max(additive[mask] + bonus, floor)
+        vals[mask] = max(additive[mask] + bonus, monotone_floor(vals, mask))
     return Valuation(m, tuple(vals))
 
 
@@ -75,11 +71,9 @@ def monotone_tables(m: int, v_max: int) -> tuple[Valuation, ...]:
     masks = sorted(range(1 << m), key=lambda b: bin(b).count("1"))
     tables: list[list[Money]] = [[0] * (1 << m)]
     for mask in masks[1:]:
-        subs = [mask ^ (1 << k) for k in range(m) if mask >> k & 1]
         extended = []
         for partial in tables:
-            lo = max((partial[s] for s in subs), default=0)
-            for v in range(lo, v_max + 1):
+            for v in range(monotone_floor(partial, mask), v_max + 1):
                 nxt = list(partial)
                 nxt[mask] = v
                 extended.append(nxt)
@@ -188,8 +182,8 @@ def generate_instances(spec: FamilySpec) -> list[AuctionInstance]:
         raise BadSpec("negative value bound")
     if not 0 <= spec.edge_p <= 1:
         raise BadSpec(f"edge probability {spec.edge_p} outside [0, 1]")
-    if not 0 <= spec.m <= 16:
-        raise BadSpec("item count outside 0..16")
+    if not 0 <= spec.m <= MAX_ITEMS:
+        raise BadSpec(f"item count outside 0..{MAX_ITEMS}")
     if spec.graph_model not in GRAPH_MODELS:
         raise BadSpec(f"unknown graph model {spec.graph_model!r}")
     rng = random.Random(spec.seed)
@@ -208,17 +202,23 @@ def generate_instances(spec: FamilySpec) -> list[AuctionInstance]:
 # ---------------------------------------------------------------------------
 
 
+def all_subsets(items: Iterable[int]) -> list[frozenset[int]]:
+    """Every subset of ``items``: by size, then in lexicographic order."""
+    ordered = sorted(items)
+    return [
+        frozenset(c)
+        for r in range(len(ordered) + 1)
+        for c in itertools.combinations(ordered, r)
+    ]
+
+
 def all_digraph_networks(
     n: int,
 ) -> Iterator[tuple[frozenset[int], dict[int, frozenset[int]]]]:
     """Every labeled digraph on ``n`` bidders together with every seller
     invitation set.  Grows as ``2**(n + n(n-1))``; practical for ``n <= 4``."""
     ids = list(range(1, n + 1))
-    others = {i: [j for j in ids if j != i] for i in ids}
-    edge_choices = [
-        [frozenset(c) for r in range(n) for c in itertools.combinations(others[i], r)]
-        for i in ids
-    ]
+    edge_choices = [all_subsets(j for j in ids if j != i) for i in ids]
     for seller_bits in range(1 << n):
         seller = frozenset(i for i in ids if seller_bits >> (i - 1) & 1)
         for combo in itertools.product(*edge_choices):
@@ -245,14 +245,14 @@ def all_undirected_networks(
 
 
 def network_instance(
-    seller: frozenset[int], out_edges: Mapping[int, frozenset[int]], m: int = 1
+    seller: frozenset[int], out_edges: Mapping[int, frozenset[int]]
 ) -> AuctionInstance:
-    """Zero-valuation instance over a bare network (valuations are irrelevant
-    to the candidate-split checkers).  Skips validation for speed; the
-    enumerations above only produce well-formed networks."""
-    zero = Valuation.zero(m)
+    """One-item, zero-valuation instance over a bare network (valuations are
+    irrelevant to the candidate-split checkers).  Skips validation for speed;
+    the enumerations above only produce well-formed networks."""
+    zero = Valuation.zero(1)
     reports = {i: BidderReport(i, zero, out_edges[i]) for i in out_edges}
-    return AuctionInstance(m, seller, reports, dict(reports))
+    return AuctionInstance(1, seller, reports, dict(reports))
 
 
 # ---------------------------------------------------------------------------

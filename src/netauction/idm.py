@@ -30,6 +30,10 @@ class SingleItemResult:
     critical_sequence: tuple[int, ...] = ()
     vstar: dict[int, Money] = field(default_factory=dict)
 
+    def utility(self, bidder: int, value: Money) -> Money:
+        """The utility of ``bidder`` here, valuing the item at ``value``."""
+        return (value if self.winner == bidder else 0) - self.payments.get(bidder, 0)
+
 
 def idm_run(
     local_instance: AuctionInstance,

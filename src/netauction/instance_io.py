@@ -1,8 +1,8 @@
 """Instance files: canonical JSON on disk, validated instances in memory.
 
 The on-disk form lists bundles as sorted item arrays for readability.  A
-valuation may list only some bundles; the parser completes the rest with the
-monotone lower envelope (max over listed subsets), which can never introduce
+valuation may list only some bundles; the parser completes each unlisted one
+with the largest completed value one item smaller, which can never introduce
 a monotonicity violation on its own.  Serialization always writes the full
 table in canonical order (ids ascending, bundles by size then item order),
 so parse-then-serialize is the identity on canonical text.

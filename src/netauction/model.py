@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Money = int
 Bundle = int
@@ -87,6 +87,18 @@ def _subbundles(pool: Bundle) -> tuple[Bundle, ...]:
         for size in range(len(bits) + 1)
         for combo in itertools.combinations(bits, size)
     )
+
+
+def monotone_floor(vals: Sequence[Money], mask: Bundle) -> Money:
+    """The largest of ``vals`` over the bundles one item smaller than
+    ``mask``: the least value ``mask`` can take in a monotone table."""
+    floor = 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        floor = max(floor, vals[mask ^ bit])
+        rest ^= bit
+    return floor
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +203,14 @@ class Valuation:
         return cls(m, (0,) * (1 << m))
 
     @classmethod
-    def additive(cls, m: int, per_item: Mapping[int, Money]) -> "Valuation":
-        vals = [0] * (1 << m)
-        for mask in range(1, 1 << m):
-            vals[mask] = sum(per_item.get(i, 0) for i in bundle_items(mask))
-        return cls(m, tuple(vals))
-
-    @classmethod
     def from_pairs(cls, m: int, pairs: Mapping[Bundle, Money]) -> "Valuation":
-        """Complete a partially listed table with the monotone lower envelope:
-        every unlisted bundle gets the max value over its listed subsets.
-        Listed values are kept verbatim, so a non-monotone listing still fails
-        validation instead of being silently papered over."""
+        """Complete a partially listed table: every unlisted bundle gets its
+        :func:`monotone_floor` over the table completed so far.  Listed values
+        are kept verbatim, so a non-monotone listing still fails validation
+        instead of being silently papered over."""
         vals = [0] * (1 << m)
         for mask in range(1, 1 << m):
-            if mask in pairs:
-                vals[mask] = pairs[mask]
-                continue
-            envelope = 0
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                envelope = max(envelope, vals[mask ^ bit])
-                rest ^= bit
-            vals[mask] = envelope
+            vals[mask] = pairs[mask] if mask in pairs else monotone_floor(vals, mask)
         if 0 in pairs:
             vals[0] = pairs[0]
         return cls(m, tuple(vals))
@@ -263,10 +259,6 @@ class AuctionInstance:
     seller_neighbors: frozenset[int]
     reports: dict[int, BidderReport]
     ground_truth: dict[int, BidderReport] | None = None
-
-    @property
-    def bidders(self) -> frozenset[int]:
-        return frozenset(self.reports)
 
     def true_report(self, bidder: int) -> BidderReport:
         if self.ground_truth is None:
@@ -341,7 +333,11 @@ def _valid_id(bid: object) -> bool:
     return isinstance(bid, int) and bid >= 1
 
 
-def _check_report(rep: BidderReport, violations: list[ValidationIssue]) -> None:
+def _check_report(rep: BidderReport, m: int, violations: list[ValidationIssue]) -> None:
+    if rep.valuation.m != m:
+        violations.append(ValidationIssue(
+            f"bidder {rep.bidder_id}: valuation over {rep.valuation.m} item(s), not {m}"
+        ))
     if rep.valuation.values[0] != 0:
         violations.append(EmptyBundleValue(rep.bidder_id, rep.valuation.values[0]))
     negative = next((b for b, v in enumerate(rep.valuation.values) if v < 0), None)
@@ -374,14 +370,14 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     violations: list[ValidationIssue] = []
 
     for rep in instance.reports.values():
-        _check_report(rep, violations)
+        _check_report(rep, instance.m, violations)
     if instance.ground_truth is not None:
         # A ground-truth entry that is the report object itself, as in every
         # generated instance, has just been checked.
         reported = {id(rep) for rep in instance.reports.values()}
         for rep in instance.ground_truth.values():
             if id(rep) not in reported:
-                _check_report(rep, violations)
+                _check_report(rep, instance.m, violations)
         for bid, rep in instance.reports.items():
             true_rep = instance.ground_truth.get(bid)
             true_neighbors = true_rep.neighbors if true_rep else frozenset()

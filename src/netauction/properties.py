@@ -2,8 +2,9 @@
 
 Every checker enumerates a deviation space (exhaustively when it fits a
 budget, by seeded sampling otherwise, and always saying which) and returns
-replayable counterexamples: re-running the mechanism on the stored instance,
-context, and deviation reproduces the stored delta exactly.
+counterexamples.  IR, IC, WBB and EPI4NW witnesses replay: re-running the
+mechanism on the stored instance, context, and deviation reproduces the
+stored delta exactly.  CDC, RDM and RC have no replay rule yet.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .drm import graph_exploration_cdp
+from .drm import graph_exploration_cdp, sell_grand_bundle
 from .framework import (
     Bdp,
     Cdp,
     SingleItemMech,
-    price_fn,
-    resale_revenue_fn,
+    round_prices,
 )
-from .generate import monotone_tables, network_instance
+from .generate import all_subsets, monotone_tables, network_instance
 from .model import (
     AuctionInstance,
     BidderReport,
@@ -125,21 +125,12 @@ def _with_reports(
     return instance
 
 
-def _subsets(items: frozenset[int]) -> list[frozenset[int]]:
-    ordered = sorted(items)
-    return [
-        frozenset(c)
-        for r in range(len(ordered) + 1)
-        for c in itertools.combinations(ordered, r)
-    ]
-
-
 def _subset_lattice(
     items: frozenset[int],
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    """:func:`_subsets` of ``items`` plus the index pair (lo, hi) of every
+    """:func:`all_subsets` of ``items`` plus the index pair (lo, hi) of every
     strictly nested pair of them, smaller first; the full set comes last."""
-    subs = _subsets(items)
+    subs = all_subsets(items)
     pairs = [
         (lo, hi)
         for lo, hi in itertools.combinations(range(len(subs)), 2)
@@ -154,7 +145,7 @@ def _unilateral_deviations(
     """All (table, neighbor subset) misreports for one bidder, or a seeded
     sample when the full grid exceeds the budget."""
     tables = space.tables(m)
-    subsets = _subsets(truth.neighbors)
+    subsets = all_subsets(truth.neighbors)
     total = len(tables) * len(subsets)
     if total <= space.budget:
         return (
@@ -176,7 +167,7 @@ def _neighbor_deviations(
     truth: BidderReport, space: DeviationSpace, rng: random.Random
 ) -> tuple[list[BidderReport], bool]:
     """Truthful-valuation misreports: every subset of the true neighbors."""
-    subsets = _subsets(truth.neighbors)
+    subsets = all_subsets(truth.neighbors)
     if len(subsets) <= space.budget:
         return [truth.with_neighbors(sub) for sub in subsets], False
     out = [truth.with_neighbors(rng.choice(subsets)) for _ in range(space.budget)]
@@ -392,15 +383,13 @@ def check_bdp_locality(bdp: Bdp, instances: Iterable[AuctionInstance]) -> CheckR
         if not frontier:
             continue
         partition = graph_exploration_cdp(inst, frontier)
-        tn_reports = [inst.reports[j] for j in sorted(partition.non_trading)]
-        pr = lambda b: price_fn(tn_reports, b)  # noqa: E731
-        rev = lambda b: resale_revenue_fn(tn_reports, b)  # noqa: E731
+        pr, rev = round_prices(inst, partition)
         pool = full_bundle(inst.m)
         baseline = bdp(inst, pool, partition.candidates, pr, rev)
         result.cases += 1
         for i in partition.candidates:
             rep = inst.reports[i]
-            for sub in _subsets(rep.neighbors):
+            for sub in all_subsets(rep.neighbors):
                 varied = bdp(
                     inst.with_report(rep.with_neighbors(sub)),
                     pool, partition.candidates, pr, rev,
@@ -470,30 +459,20 @@ def check_revenue_consistency(
         result.instances += 1
         truthful = market.truthful()
         grand = full_bundle(market.m)
-        reachable = qualified_set(truthful)
-        values = {j: truthful.reports[j].valuation.of(grand) for j in reachable}
-        base = single_item_mech(truthful, values)
+        base = sell_grand_bundle(truthful, single_item_mech)
         result.cases += 1
-        for i in sorted(reachable):
+        for i in sorted(qualified_set(truthful)):
             true_rep = truthful.reports[i]
             true_value = true_rep.valuation.of(grand)
-            u_truth = (true_value if base.winner == i else 0) - base.payments.get(i, 0)
-            if u_truth <= 0:
+            if base.utility(i, true_value) <= 0:
                 continue
             devs, clipped = _unilateral_deviations(true_rep, market.m, space, rng)
             result.budget_exceeded |= clipped
             for dev in devs:
                 dev_inst = truthful.with_report(dev)
-                dev_q = qualified_set(dev_inst)
-                dev_values = {
-                    j: dev_inst.reports[j].valuation.of(grand) for j in dev_q
-                }
-                dev_result = single_item_mech(dev_inst, dev_values)
+                dev_result = sell_grand_bundle(dev_inst, single_item_mech)
                 result.cases += 1
-                u_dev = (
-                    true_value if dev_result.winner == i else 0
-                ) - dev_result.payments.get(i, 0)
-                if u_dev <= 0:
+                if dev_result.utility(i, true_value) <= 0:
                     continue
                 for level in rev_grid:
                     if (base.revenue < level) != (dev_result.revenue < level):

@@ -81,7 +81,7 @@ def ascending_degree_cdp(
         discovered: set[int] = set()
         for j in non_trading:
             discovered |= residual_instance.reports[j].neighbors
-        discovered &= residual_instance.bidders
+        discovered &= set(residual_instance.reports)
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 
@@ -108,7 +108,7 @@ def valuation_ranked_cdp(
         discovered: set[int] = set()
         for j in non_trading:
             discovered |= residual_instance.reports[j].neighbors
-        discovered &= residual_instance.bidders
+        discovered &= set(residual_instance.reports)
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 
@@ -134,7 +134,7 @@ def invited_count_cdp(
         discovered: set[int] = set()
         for j in non_trading:
             discovered |= reports[j].neighbors
-        discovered &= residual_instance.bidders
+        discovered &= set(reports)
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 

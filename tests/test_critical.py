@@ -183,7 +183,7 @@ def test_structure_depends_on_the_invitation_graph_alone():
         2,
         base.seller_neighbors,
         {
-            b: BidderReport(b, Valuation.additive(2, {1: b, 2: 1}), r.neighbors)
+            b: BidderReport(b, Valuation(2, (0, b, 1, b + 1)), r.neighbors)
             for b, r in base.reports.items()
         },
         dict(base.reports),

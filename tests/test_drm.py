@@ -91,7 +91,7 @@ def reference_exploration_cdp(residual_instance, frontier):
         discovered = set()
         for j in non_trading:
             discovered |= residual_instance.reports[j].neighbors
-        discovered &= residual_instance.bidders
+        discovered &= set(residual_instance.reports)
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 

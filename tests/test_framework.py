@@ -208,6 +208,24 @@ def test_reserve_bidder_floors_the_local_price():
     assert floored.payment[2] == 0  # price minus revenue
 
 
+def test_reserve_bidder_reads_the_resale_revenue_once():
+    inst = build_instance(
+        1, {2}, {2: {7}, 7: set()},
+        {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 5))},
+    )
+    reads = []
+
+    def rev(b):
+        reads.append(b)
+        return 3 if b else 0
+
+    for reserve_bidder in (False, True):
+        reads.clear()
+        resell(inst, 2, BundleTuple(1, 1), lambda b: 3 if b else 0, rev,
+               reserve_bidder=reserve_bidder)
+        assert reads == [1]
+
+
 def test_reserve_bidder_winning_means_no_sale():
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
@@ -323,6 +341,18 @@ def test_overlapping_tuples_rejected():
             clashing_bdp,
             idm_run,
         )
+
+
+@pytest.mark.parametrize(
+    "resize", [lambda t: t[:-1], lambda t: t + (BundleTuple(0, 0),)],
+    ids=["one-short", "one-extra"],
+)
+def test_wrong_number_of_tuples_rejected(resize):
+    def resized_bdp(*args):
+        return resize(greedy_bdp(*args))
+
+    with pytest.raises(InvalidTuple, match="bundle tuples for 2 candidates"):
+        engine_outcome(two_round_showcase(), graph_exploration_cdp, resized_bdp, idm_run)
 
 
 def test_unqualified_bidders_untouched_regardless_of_reports():

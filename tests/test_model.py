@@ -202,6 +202,21 @@ def test_invalid_bidder_id_reported_as_such():
     ]
 
 
+def test_valuation_must_cover_the_instance_items():
+    short = BidderReport(1, Valuation(1, (0, 5)), frozenset())
+    fitting = BidderReport(1, Valuation(2, (0, 5, 0, 5)), frozenset())
+    # A truth entry that is the report itself is checked once.
+    for reports, truth, listed in (
+        ({1: short}, None, 1), ({1: short}, {1: short}, 1),
+        ({1: fitting}, {1: short}, 1), ({1: short}, {1: short.with_neighbors(())}, 2),
+    ):
+        with pytest.raises(InstanceValidationError) as err:
+            validate_instance(AuctionInstance(2, frozenset({1}), reports, truth))
+        assert [str(x) for x in err.value.violations] == (
+            ["bidder 1: valuation over 1 item(s), not 2"] * listed
+        )
+
+
 def test_reported_neighbors_must_lie_inside_truth():
     v = Valuation.zero(1)
     reports = {1: BidderReport(1, v, frozenset({2})), 2: BidderReport(2, v, frozenset())}
