@@ -202,7 +202,7 @@ def _cmd_compare(args) -> int:
         "baseline_revenue", "baseline_welfare",
     ]
     rows = []
-    config = MechanismConfig(rng_seed=args.seed)
+    config = MechanismConfig()
     drm = get_mechanism("drm")
     baseline = get_mechanism("baseline-direct")
     for path in paths:
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="dealer mechanism vs the direct second-price baseline"
     )
     p_cmp.add_argument("--instances", required=True)
-    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--csv")
     p_cmp.set_defaults(fn=_cmd_compare)
     return parser

@@ -32,7 +32,6 @@ from .model import (
     Outcome,
     full_bundle,
     iter_subbundles,
-    qualified_set,
 )
 
 Mechanism = Callable[[AuctionInstance, MechanismConfig], Outcome]
@@ -203,10 +202,10 @@ def run_with_config_detailed(
 def sell_grand_bundle(
     instance: AuctionInstance, single_item_mech: SingleItemMech
 ) -> SingleItemResult:
-    """Sell all items as one lot to the qualified bidders at their reported values."""
+    """Sell all items as one lot at the bidders' reported values; the
+    mechanism itself finds who qualifies."""
     grand = full_bundle(instance.m)
-    qualified = qualified_set(instance)
-    values = {i: instance.reports[i].valuation.of(grand) for i in qualified}
+    values = {i: rep.valuation.of(grand) for i, rep in instance.reports.items()}
     return single_item_mech(instance, values)
 
 

@@ -265,39 +265,32 @@ def line_market_fixture() -> AuctionInstance:
     return scalar_market("line", (3, 5, 10))
 
 
+def _branch_market(
+    seller: Iterable[int], head: Mapping[int, tuple[Iterable[int], int]]
+) -> AuctionInstance:
+    """The branch market's five bidders after ``head``, each entry mapping a
+    bidder to her invitations and her value for the single item."""
+    market = {
+        **head,
+        1: ({2, 5}, 1), 2: ({3}, 9), 3: ((), 10), 4: ((), 2), 5: ((), 6),
+    }
+    out = {i: nbs for i, (nbs, _) in market.items()}
+    tables = {i: Valuation(1, (0, v)) for i, (_, v) in market.items()}
+    return instance_from_parts(1, seller, out, tables)
+
+
 def branch_market_fixture() -> AuctionInstance:
     """Five bidders, two arms: the chain 1 -> 2 -> 3 plus direct bidders 4
     (from the seller) and 5 (invited by 1); values 1, 9, 10, 2, 6.  The
     canonical market where an inviter ends up paid for the competition she
     brought in."""
-    seller = frozenset({1, 4})
-    out = {
-        1: frozenset({2, 5}),
-        2: frozenset({3}),
-        3: frozenset(),
-        4: frozenset(),
-        5: frozenset(),
-    }
-    values = {1: 1, 2: 9, 3: 10, 4: 2, 5: 6}
-    tables = {i: Valuation(1, (0, v)) for i, v in values.items()}
-    return instance_from_parts(1, seller, out, tables)
+    return _branch_market({1, 4}, {})
 
 
 def embedded_branch_fixture() -> AuctionInstance:
     """The branch market hanging off a single dealer (bidder 6) so the whole
     resale pipeline reproduces it as a local market; one item."""
-    seller = frozenset({6})
-    out = {
-        6: frozenset({1, 4}),
-        1: frozenset({2, 5}),
-        2: frozenset({3}),
-        3: frozenset(),
-        4: frozenset(),
-        5: frozenset(),
-    }
-    values = {6: 1, 1: 1, 2: 9, 3: 10, 4: 2, 5: 6}
-    tables = {i: Valuation(1, (0, v)) for i, v in values.items()}
-    return instance_from_parts(1, seller, out, tables)
+    return _branch_market({6}, {6: ({1, 4}, 1)})
 
 
 def two_round_showcase() -> AuctionInstance:

@@ -368,16 +368,19 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
             [ValidationIssue(f"item count {instance.m} outside 0..{MAX_ITEMS}")]
         )
     violations: list[ValidationIssue] = []
-
-    for rep in instance.reports.values():
-        _check_report(rep, instance.m, violations)
+    # A ground-truth entry that is the report object itself, as in every
+    # generated instance, is walked and checked once.
+    walk = [*instance.reports.items(), *(instance.ground_truth or {}).items()]
+    checked: set[int] = set()
+    for (bid, obj), rep in {(bid, id(rep)): rep for bid, rep in walk}.items():
+        if rep.bidder_id != bid:
+            violations.append(ValidationIssue(
+                f"bidder {bid} holds a report for bidder {rep.bidder_id}"
+            ))
+        if obj not in checked:
+            checked.add(obj)
+            _check_report(rep, instance.m, violations)
     if instance.ground_truth is not None:
-        # A ground-truth entry that is the report object itself, as in every
-        # generated instance, has just been checked.
-        reported = {id(rep) for rep in instance.reports.values()}
-        for rep in instance.ground_truth.values():
-            if id(rep) not in reported:
-                _check_report(rep, instance.m, violations)
         for bid, rep in instance.reports.items():
             true_rep = instance.ground_truth.get(bid)
             true_neighbors = true_rep.neighbors if true_rep else frozenset()

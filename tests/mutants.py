@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from netauction.drm import graph_exploration_cdp
 from netauction.framework import BundleTuple, DistributorPartition
@@ -60,73 +60,18 @@ def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
     return Outcome.from_maps(outcome.allocation, payment)
 
 
-def ascending_degree_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
+def _ranked_exploration(
+    residual_instance: AuctionInstance, frontier: Sequence[int], rank: Callable
 ) -> DistributorPartition:
-    """Graph exploration with the ranking inverted (fewest invitations
-    first): a candidate who reports more neighbors can fall out of the
-    candidate set."""
-    candidates: list[int] = []
-    non_trading: set[int] = set()
-    classified: set[int] = set()
-    layer = [i for i in frontier if i in residual_instance.reports]
-    while layer:
-        ranked = sorted(
-            layer, key=lambda i: (len(residual_instance.reports[i].neighbors), i)
-        )
-        cut = (len(ranked) + 1) // 2
-        candidates.extend(ranked[:cut])
-        non_trading.update(ranked[cut:])
-        classified.update(ranked)
-        discovered: set[int] = set()
-        for j in non_trading:
-            discovered |= residual_instance.reports[j].neighbors
-        discovered &= set(residual_instance.reports)
-        layer = sorted(discovered - classified)
-    return DistributorPartition(tuple(candidates), frozenset(non_trading))
-
-
-def valuation_ranked_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
-    """Graph exploration ranked by reported grand-bundle value: the split
-    depends on valuations, which a candidate split must never do."""
-    grand = full_bundle(residual_instance.m)
-    candidates: list[int] = []
-    non_trading: set[int] = set()
-    classified: set[int] = set()
-    layer = [i for i in frontier if i in residual_instance.reports]
-    while layer:
-        ranked = sorted(
-            layer,
-            key=lambda i: (-residual_instance.reports[i].valuation.of(grand), i),
-        )
-        cut = (len(ranked) + 1) // 2
-        candidates.extend(ranked[:cut])
-        non_trading.update(ranked[cut:])
-        classified.update(ranked)
-        discovered: set[int] = set()
-        for j in non_trading:
-            discovered |= residual_instance.reports[j].neighbors
-        discovered &= set(residual_instance.reports)
-        layer = sorted(discovered - classified)
-    return DistributorPartition(tuple(candidates), frozenset(non_trading))
-
-
-def invited_count_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
-    """Graph exploration ranked by how many reports invite each bidder,
-    reachable or not: an unclassified bidder's invitations move the ranks of
-    the bidders she names, so her report changes the split."""
+    """Graph exploration that puts each layer's better-ranked half (by the
+    ``rank`` key) in the candidate set."""
     reports = residual_instance.reports
-    invited = Counter(j for rep in reports.values() for j in rep.neighbors)
     candidates: list[int] = []
     non_trading: set[int] = set()
     classified: set[int] = set()
     layer = [i for i in frontier if i in reports]
     while layer:
-        ranked = sorted(layer, key=lambda i: (-invited[i], i))
+        ranked = sorted(layer, key=rank)
         cut = (len(ranked) + 1) // 2
         candidates.extend(ranked[:cut])
         non_trading.update(ranked[cut:])
@@ -137,6 +82,40 @@ def invited_count_cdp(
         discovered &= set(reports)
         layer = sorted(discovered - classified)
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
+
+
+def ascending_degree_cdp(
+    residual_instance: AuctionInstance, frontier: Sequence[int]
+) -> DistributorPartition:
+    """Graph exploration with the ranking inverted (fewest invitations
+    first): a candidate who reports more neighbors can fall out of the
+    candidate set."""
+    reports = residual_instance.reports
+    return _ranked_exploration(
+        residual_instance, frontier, lambda i: (len(reports[i].neighbors), i)
+    )
+
+
+def valuation_ranked_cdp(
+    residual_instance: AuctionInstance, frontier: Sequence[int]
+) -> DistributorPartition:
+    """Graph exploration ranked by reported grand-bundle value: the split
+    depends on valuations, which a candidate split must never do."""
+    reports, grand = residual_instance.reports, full_bundle(residual_instance.m)
+    return _ranked_exploration(
+        residual_instance, frontier, lambda i: (-reports[i].valuation.of(grand), i)
+    )
+
+
+def invited_count_cdp(
+    residual_instance: AuctionInstance, frontier: Sequence[int]
+) -> DistributorPartition:
+    """Graph exploration ranked by how many reports invite each bidder,
+    reachable or not: an unclassified bidder's invitations move the ranks of
+    the bidders she names, so her report changes the split."""
+    reports = residual_instance.reports
+    invited = Counter(j for rep in reports.values() for j in rep.neighbors)
+    return _ranked_exploration(residual_instance, frontier, lambda i: (-invited[i], i))
 
 
 def outside_invited_cdp(

@@ -248,10 +248,16 @@ def test_verify_epi4nw_finds_witness(capsys):
     assert "witness" in capsys.readouterr().out
 
 
-def test_verify_rdm_tiny_passes(capsys):
-    assert main(["verify", "--property", "rdm", "--scale", "tiny"]) == 0
-    out = capsys.readouterr().out
-    assert "RDM: ok" in out
+@pytest.mark.parametrize("prop, summary", [
+    ("ir", "IR: ok [exhaustive] instances=86 cases=576 violations=0"),
+    ("wbb", "WBB: ok [exhaustive] instances=286 cases=286 violations=0"),
+    ("cdc", "CDC: ok [exhaustive] instances=530 cases=5076 violations=0"),
+    ("rdm", "RDM: ok [exhaustive] instances=86 cases=378 violations=0"),
+    ("rc", "RC: ok [exhaustive] instances=100 cases=1396 violations=0"),
+], ids=["ir", "wbb", "cdc", "rdm", "rc"])
+def test_verify_tiny_passes(prop, summary, capsys):
+    assert main(["verify", "--property", prop, "--scale", "tiny"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == summary
 
 
 def test_verify_ic_reports_the_known_gap(capsys):

@@ -31,6 +31,7 @@ from netauction.generate import (
 from netauction.idm import idm_run
 from netauction.model import (
     BidderReport,
+    Outcome,
     Valuation,
     bundle_from_items,
     check_outcome,
@@ -323,6 +324,22 @@ def test_rounds_conserve_everything_on_random_corpus():
             assert state.removed  # progress every round
         assert len(run.rounds) <= len(inst.reports)
         assert sum(run.outcome.payment.values()) == run.outcome.seller_revenue
+
+
+@pytest.mark.parametrize("allocation, payment, revenue, message", [
+    ({1: 0b01, 2: 0b11}, {}, 0, "bidder 2 overlaps an earlier allocation"),
+    ({1: 0b100}, {}, 0, "bidder 1 allocated unknown items"),
+    ({}, {1: 2, 2: 1}, 2, "seller revenue does not equal the payment sum"),
+    ({3: 0b01}, {}, 0, "unqualified bidder 3 was touched"),
+    ({}, {3: -1}, -1, "unqualified bidder 3 was touched"),
+], ids=["overlap", "unknown-item", "revenue-sum", "unqualified-won", "unqualified-paid"])
+def test_check_outcome_rejects_each_broken_invariant(
+    allocation, payment, revenue, message
+):
+    inst = build_instance(2, {1, 2}, {1: set(), 2: set(), 3: set()})  # 3 unreached
+    check_outcome(inst, Outcome({1: 0b01, 2: 0b10}, {1: 1, 2: 1}, 2))
+    with pytest.raises(AssertionError, match=message):
+        check_outcome(inst, Outcome(allocation, payment, revenue))
 
 
 def test_overlapping_tuples_rejected():

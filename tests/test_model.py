@@ -150,11 +150,34 @@ def test_nonzero_empty_bundle_rejected():
 
 
 def test_all_violations_reported_together():
-    bad_v = Valuation(1, (1, 0))  # nonzero empty bundle and non-monotone
-    with pytest.raises(InstanceValidationError) as err:
-        build_instance(1, {1}, {1: {1}}, {1: bad_v})
-    kinds = {type(x).__name__ for x in err.value.violations}
-    assert {"SelfLoop", "NonMonotoneValuation", "EmptyBundleValue"} <= kinds
+    for bad_v, expected in (
+        # nonzero empty bundle and non-monotone
+        (Valuation(1, (1, 0)), {"NonMonotoneValuation", "EmptyBundleValue"}),
+        # negative value, so below the empty bundle too
+        (Valuation(1, (0, -2)), {"NonMonotoneValuation", "NegativeValue"}),
+    ):
+        with pytest.raises(InstanceValidationError) as err:
+            build_instance(1, {1}, {1: {1}}, {1: bad_v})
+        kinds = {type(x).__name__ for x in err.value.violations}
+        assert {"SelfLoop", *expected} <= kinds
+    assert "bidder 1: negative value -2 for {1}" in str(err.value)
+
+
+def test_report_filed_under_another_bidders_key_rejected():
+    other = BidderReport(2, Valuation(1, (0, 5)), frozenset())
+    own = BidderReport(1, Valuation(1, (0, 5)), frozenset())
+    wrong = "bidder 1 holds a report for bidder 2"
+    # A truth entry that is the report itself is walked once; a report
+    # filed under two keys has its key checked under each.
+    for reports, truth, messages in (
+        ({1: other}, None, [wrong]),
+        ({1: other}, {1: other}, [wrong]),
+        ({1: own}, {1: other}, [wrong]),
+        ({1: other}, {1: own, 2: own}, [wrong, "bidder 2 holds a report for bidder 1"]),
+    ):
+        with pytest.raises(InstanceValidationError) as err:
+            validate_instance(AuctionInstance(1, frozenset({1}), reports, truth))
+        assert [str(x) for x in err.value.violations] == messages
 
 
 def test_truth_entry_that_is_the_report_is_checked_once():

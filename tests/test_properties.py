@@ -245,6 +245,8 @@ def test_subsidizing_mechanism_caught_by_wbb():
     result = check_wbb(mutants.subsidizing_mechanism, family)
     assert not result.ok
     assert result.violations[0].delta < 0
+    for v in result.violations:
+        assert replay_violation(mutants.subsidizing_mechanism, v) == v.delta
 
 
 def cdc_notes(cdp):
