@@ -18,7 +18,6 @@ from .framework import (
     BoundPrice,
     BundleTuple,
     DistributorPartition,
-    PRICING,
     SingleItemMech,
     dcaf_run_detailed,
     DcafRun,
@@ -180,21 +179,15 @@ def run_with_config_detailed(
     instance: AuctionInstance, config: MechanismConfig
 ) -> DcafRun:
     try:
-        cdp = CDPS[config.cdp]
         bdp = BDPS[config.bdp]
-        pr_fn, rev_fn = PRICING[config.pricing]
     except KeyError as exc:
         raise AuctionError(f"unknown component name {exc}") from None
     if bdp is random_single_item_bdp:
         # One generator per run, shared by its rounds; greedy seeds none.
         bdp = partial(bdp, rng=random.Random(config.rng_seed))
+    # Looked up per call, not bound at import: bench/tracing.py swaps the entry.
     return dcaf_run_detailed(
-        instance,
-        cdp,
-        bdp,
-        idm_run,
-        pr_fn,
-        rev_fn,
+        instance, CDPS["graph-exploration"], bdp, idm_run,
         reserve_bidder=config.reserve_bidder,
     )
 
@@ -222,19 +215,12 @@ def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outc
 def baseline_direct_second_price(
     instance: AuctionInstance, config: MechanismConfig | None = None
 ) -> Outcome:
-    """No-diffusion yardstick: sell the grand bundle among the seller's
-    direct neighbors at the second price."""
-    grand = full_bundle(instance.m)
-    direct = sorted(i for i in instance.seller_neighbors if i in instance.reports)
-    allocation = {i: 0 for i in instance.reports}
-    payment = {i: 0 for i in instance.reports}
-    if direct:
-        values = {i: instance.reports[i].valuation.of(grand) for i in direct}
-        winner = min(direct, key=lambda i: (-values[i], i))
-        rest = sorted((values[i] for i in direct if i != winner), reverse=True)
-        allocation[winner] = grand
-        payment[winner] = rest[0] if rest else 0
-    return Outcome.from_maps(allocation, payment)
+    """No-diffusion yardstick: IDM with every invitation ignored, so the
+    grand bundle goes to the seller's direct neighbors at the second price."""
+    bare = {i: rep.with_neighbors(()) for i, rep in instance.reports.items()}
+    return idm_grand_bundle(
+        AuctionInstance(instance.m, instance.seller_neighbors, bare), config
+    )
 
 
 def _drm_random(instance: AuctionInstance, config: MechanismConfig) -> Outcome:

@@ -33,7 +33,6 @@ from .model import (
     restrict_instance,
 )
 
-PriceFn = Callable[[Sequence[BidderReport], Bundle], Money]
 BoundPrice = Callable[[Bundle], Money]
 Cdp = Callable[[AuctionInstance, Sequence[int]], "DistributorPartition"]
 Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
@@ -143,13 +142,12 @@ PRICING = {"second-first": (price_fn, resale_revenue_fn)}
 
 
 def round_prices(
-    residual: AuctionInstance,
-    partition: DistributorPartition,
-    pr_fn: PriceFn = price_fn,
-    rev_fn: PriceFn = resale_revenue_fn,
+    residual: AuctionInstance, partition: DistributorPartition
 ) -> tuple[BoundPrice, BoundPrice]:
     """A round's bundle price and resale revenue: both pricing rules bound to
     one list of the non-traders' reports, in id order."""
+    # Looked up per call, not bound at import: bench/tracing.py swaps the entry.
+    pr_fn, rev_fn = PRICING["second-first"]
     tn_reports = [residual.reports[j] for j in sorted(partition.non_trading)]
     return partial(pr_fn, tn_reports), partial(rev_fn, tn_reports)
 
@@ -248,8 +246,6 @@ def dcaf_run_detailed(
     cdp: Cdp,
     bdp: Bdp,
     single_item_mech: SingleItemMech,
-    pr_fn: PriceFn = price_fn,
-    rev_fn: PriceFn = resale_revenue_fn,
     *,
     reserve_bidder: bool = False,
 ) -> DcafRun:
@@ -269,7 +265,7 @@ def dcaf_run_detailed(
     while remaining and alive and frontier:
         residual = restrict_instance(instance, alive, frontier)
         partition = cdp(residual, frontier)
-        pr, rev = round_prices(residual, partition, pr_fn, rev_fn)
+        pr, rev = round_prices(residual, partition)
         tuples = bdp(residual, remaining, partition.candidates, pr, rev)
         _check_tuples(tuples, len(partition.candidates), remaining)
 

@@ -90,6 +90,8 @@ def parse_instance(text: str) -> AuctionInstance:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno) from None
+    except RecursionError:
+        raise ParseError("nesting too deep") from None
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     version = raw.get("schema_version", SCHEMA_VERSION)
@@ -149,7 +151,11 @@ def serialize_instance(instance: AuctionInstance) -> str:
 
 def load_instance(path) -> AuctionInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
+    return parse_instance(text)
 
 
 def save_instance(path, instance: AuctionInstance) -> None:

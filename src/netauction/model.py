@@ -305,9 +305,7 @@ class Outcome:
 class MechanismConfig:
     """Names and switches selecting a concrete mechanism assembly."""
 
-    cdp: str = "graph-exploration"
     bdp: str = "greedy"
-    pricing: str = "second-first"
     reserve_bidder: bool = False
     rng_seed: int = 0
 

@@ -52,9 +52,6 @@ class DeviationSpace:
     others_budget: int = 0
     seed: int = 11
 
-    def tables(self, m: int) -> tuple[Valuation, ...]:
-        return monotone_tables(m, self.v_max)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -144,7 +141,7 @@ def _unilateral_deviations(
 ) -> tuple[list[BidderReport], bool]:
     """All (table, neighbor subset) misreports for one bidder, or a seeded
     sample when the full grid exceeds the budget."""
-    tables = space.tables(m)
+    tables = monotone_tables(m, space.v_max)
     subsets = all_subsets(truth.neighbors)
     total = len(tables) * len(subsets)
     if total <= space.budget:
@@ -184,7 +181,7 @@ def _others_contexts(
         return contexts
     truth = instance.ground_truth or {}
     others = [b for b in sorted(truth) if b != bidder]
-    tables = space.tables(instance.m)
+    tables = monotone_tables(instance.m, space.v_max)
     for _ in range(space.others_budget):
         ctx = []
         for j in others:

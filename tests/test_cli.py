@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from netauction.cli import main
 from netauction.drm import MECHANISMS
-from netauction.generate import embedded_branch_fixture
+from netauction.generate import embedded_branch_fixture, two_round_showcase
 from netauction.instance_io import save_instance
+from netauction.model import MechanismConfig, bundle_str
 
 
 @pytest.fixture
@@ -107,6 +108,60 @@ def test_run_non_list_valuation_is_validation_error(tmp_path, capsys, valuation)
     err = capsys.readouterr().err
     assert "bidder 1: 'valuation' must be a list" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b'\xff\xfe{"m":1}', "not UTF-8"), (b"[" * 200000, "nesting too deep")],
+    ids=["not-utf8", "too-deep"],
+)
+def test_unreadable_file_is_validation_error(tmp_path, capsys, command, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "run":
+        args = ["run", "--mechanism", "drm", "--instance", str(bad)]
+    else:
+        args = ["compare", "--instances", str(tmp_path)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
+def _run_table(path, *flags):
+    """The CSV rows `run` writes for one mechanism and flag set."""
+    csv_path = path.parent / "out.csv"
+    assert main(["run", "--instance", str(path), "--csv", str(csv_path), *flags]) == 0
+    return csv_path.read_text().splitlines()
+
+
+def test_run_reserve_bidder_flag_matches_the_reserve_mechanism(tmp_path, capsys):
+    path = tmp_path / "showcase.json"
+    save_instance(path, two_round_showcase())
+    flagged = _run_table(path, "--mechanism", "drm", "--reserve-bidder")
+    flagged_totals = capsys.readouterr().out.splitlines()[-2:]
+    named = _run_table(path, "--mechanism", "drm-reserve")
+    assert flagged == named
+    assert flagged_totals == capsys.readouterr().out.splitlines()[-2:]
+    assert flagged != _run_table(path, "--mechanism", "drm")  # the flag matters here
+
+
+def test_run_seed_reaches_the_random_division(tmp_path, capsys):
+    inst = two_round_showcase()
+    path = tmp_path / "showcase.json"
+    save_instance(path, inst)
+    tables = []
+    for seed in (0, 4):
+        outcome = MECHANISMS["drm-random-bdp"](inst, MechanismConfig(rng_seed=seed))
+        expected = ["bidder,allocation,payment"] + [
+            f"{i},{bundle_str(outcome.allocation[i])},{outcome.payment[i]}"
+            for i in sorted(outcome.allocation)
+        ]
+        table = _run_table(path, "--mechanism", "drm-random-bdp", "--seed", str(seed))
+        assert table == expected
+        assert f"seller revenue: {outcome.seller_revenue}" in capsys.readouterr().out
+        tables.append(table)
+    assert tables[0] != tables[1]
 
 
 def _many_items_file(tmp_path, m):

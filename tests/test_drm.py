@@ -363,6 +363,22 @@ def test_baseline_direct_second_price():
     outcome = baseline_direct_second_price(lone)
     assert outcome.payment[1] == 0
     assert baseline_direct_second_price(build_instance(1, set(), {})).seller_revenue == 0
+    # A tie between direct neighbors goes to the lower id at the tied value.
+    tie = build_instance(
+        1, {2, 3}, {2: set(), 3: set()},
+        {2: Valuation(1, (0, 5)), 3: Valuation(1, (0, 5))},
+    )
+    outcome = baseline_direct_second_price(tie)
+    assert outcome.allocation == {2: 1, 3: 0}
+    assert outcome.payment == {2: 5, 3: 0}
+    # No diffusion: bidder 3, invited by 1 and valued above all, is ignored.
+    invited = build_instance(
+        1, {1, 2}, {1: {3}, 2: set(), 3: set()},
+        {1: Valuation(1, (0, 4)), 2: Valuation(1, (0, 2)), 3: Valuation(1, (0, 9))},
+    )
+    outcome = baseline_direct_second_price(invited)
+    assert outcome.allocation == {1: 1, 2: 0, 3: 0}
+    assert outcome.payment == {1: 2, 2: 0, 3: 0}
 
 
 def test_drm_with_no_items_touches_nobody():
