@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -75,6 +76,18 @@ def _write_csv(path: str, headers: list[str], rows: list[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The header `run` prints: the settings each mechanism reads, with the values
+# it ran with (drm-reserve runs with the reserve bid whatever the flag says).
+_RUN_HEADERS = {
+    "drm": "mechanism: drm  reserve-bidder: {reserve_bidder}",
+    "drm-random-bdp":
+        "mechanism: drm-random-bdp  seed: {seed}  reserve-bidder: {reserve_bidder}",
+    "drm-reserve": "mechanism: drm-reserve  reserve-bidder: True",
+    "idm": "mechanism: idm",
+    "baseline-direct": "mechanism: baseline-direct",
+}
+
+
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
     config = MechanismConfig(reserve_bidder=args.reserve_bidder, rng_seed=args.seed)
@@ -84,8 +97,7 @@ def _cmd_run(args) -> int:
         [str(i), bundle_str(outcome.allocation[i]), str(outcome.payment[i])]
         for i in sorted(outcome.allocation)
     ]
-    print(f"mechanism: {args.mechanism}  seed: {args.seed}  "
-          f"reserve-bidder: {args.reserve_bidder}")
+    print(_RUN_HEADERS[args.mechanism].format_map(vars(args)))
     print(_format_table(headers, rows))
     print(f"seller revenue: {outcome.seller_revenue}")
     print(f"social welfare: {social_welfare(instance, outcome)}")
@@ -135,12 +147,13 @@ def _run_verify(prop: str, scale: str) -> CheckResult:
         )
         return check_wbb(_drm_fn, family)
     if prop == "cdc":
-        networks = []
-        for n in range(1, 4 if scale == "tiny" else 5):
-            networks.extend(gen.all_digraph_networks(n))
+        enumerations = [gen.all_digraph_networks(n)
+                        for n in range(1, 4 if scale == "tiny" else 5)]
         if scale == "small":
-            networks.extend(gen.all_undirected_networks(5))
-        return check_cdp_consistency(graph_exploration_cdp, networks)
+            enumerations.append(gen.all_undirected_networks(5))
+        return check_cdp_consistency(
+            graph_exploration_cdp, itertools.chain.from_iterable(enumerations)
+        )
     if prop == "rdm":
         return check_bdp_locality(greedy_bdp, _verify_family(scale))
     # rc; argparse admits no other property

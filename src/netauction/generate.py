@@ -212,27 +212,43 @@ def all_subsets(items: Iterable[int]) -> list[frozenset[int]]:
     ]
 
 
+def _seller_sets(ids: list[int]) -> list[frozenset[int]]:
+    """Every seller invitation set over ``ids``, indexed by its bitmask."""
+    return [frozenset(i for i in ids if bits >> (i - 1) & 1)
+            for bits in range(1 << len(ids))]
+
+
 def all_digraph_networks(
     n: int,
 ) -> Iterator[tuple[frozenset[int], dict[int, frozenset[int]]]]:
     """Every labeled digraph on ``n`` bidders together with every seller
-    invitation set.  Grows as ``2**(n + n(n-1))``; practical for ``n <= 4``."""
+    invitation set, seller-major.  Grows as ``2**(n + n(n-1))``; practical
+    for ``n <= 4``.
+
+    Each of the ``2**(n(n-1))`` graph maps and each of the ``2**n`` seller
+    sets is built once and shared by every network that contains it, so
+    callers must not mutate a yielded map."""
     ids = list(range(1, n + 1))
     edge_choices = [all_subsets(j for j in ids if j != i) for i in ids]
-    for seller_bits in range(1 << n):
-        seller = frozenset(i for i in ids if seller_bits >> (i - 1) & 1)
-        for combo in itertools.product(*edge_choices):
-            yield seller, dict(zip(ids, combo))
+    graphs = [dict(zip(ids, combo)) for combo in itertools.product(*edge_choices)]
+    for seller in _seller_sets(ids):
+        for out in graphs:
+            yield seller, out
 
 
 def all_undirected_networks(
     n: int,
 ) -> Iterator[tuple[frozenset[int], dict[int, frozenset[int]]]]:
     """Every mutual-neighbor network on ``n`` bidders with every seller
-    invitation set; the symmetric counterpart of the digraph enumeration,
-    matching how acquaintance actually works."""
+    invitation set, graph-major; the symmetric counterpart of the digraph
+    enumeration, matching how acquaintance actually works.
+
+    Each graph map and each of the ``2**n`` seller sets is built once and
+    shared by every network that contains it, so callers must not mutate a
+    yielded map."""
     ids = list(range(1, n + 1))
     pairs = list(itertools.combinations(ids, 2))
+    sellers = _seller_sets(ids)
     for edge_bits in range(1 << len(pairs)):
         out = {i: set() for i in ids}
         for k, (i, j) in enumerate(pairs):
@@ -240,8 +256,8 @@ def all_undirected_networks(
                 out[i].add(j)
                 out[j].add(i)
         frozen = {i: frozenset(s) for i, s in out.items()}
-        for seller_bits in range(1 << n):
-            yield frozenset(i for i in ids if seller_bits >> (i - 1) & 1), frozen
+        for seller in sellers:
+            yield seller, frozen
 
 
 def network_instance(
@@ -249,7 +265,8 @@ def network_instance(
 ) -> AuctionInstance:
     """One-item, zero-valuation instance over a bare network (valuations are
     irrelevant to the candidate-split checkers).  Skips validation for speed;
-    the enumerations above only produce well-formed networks."""
+    the enumerations above only produce well-formed networks.  Only reads
+    ``out_edges``, so a map shared across networks stays intact."""
     zero = Valuation.zero(1)
     reports = {i: BidderReport(i, zero, out_edges[i]) for i in out_edges}
     return AuctionInstance(1, seller, reports, dict(reports))

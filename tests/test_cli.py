@@ -146,6 +146,29 @@ def test_run_reserve_bidder_flag_matches_the_reserve_mechanism(tmp_path, capsys)
     assert flagged != _run_table(path, "--mechanism", "drm")  # the flag matters here
 
 
+# Each mechanism with the header `run --seed 3` prints for it, flag or no flag.
+RUN_HEADERS = [
+    ("drm", [], "mechanism: drm  reserve-bidder: False"),
+    ("drm-random-bdp", ["--reserve-bidder"],
+     "mechanism: drm-random-bdp  seed: 3  reserve-bidder: True"),
+    ("drm-reserve", [], "mechanism: drm-reserve  reserve-bidder: True"),
+    ("idm", ["--reserve-bidder"], "mechanism: idm"),
+    ("baseline-direct", ["--reserve-bidder"], "mechanism: baseline-direct"),
+]
+
+
+@pytest.mark.parametrize(
+    "mechanism, flags, header", RUN_HEADERS, ids=[case[0] for case in RUN_HEADERS]
+)
+def test_run_header_shows_the_settings_the_mechanism_reads(
+    fixture_file, capsys, mechanism, flags, header
+):
+    args = ["run", "--mechanism", mechanism, "--instance", str(fixture_file),
+            "--seed", "3", *flags]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header
+
+
 def test_run_seed_reaches_the_random_division(tmp_path, capsys):
     inst = two_round_showcase()
     path = tmp_path / "showcase.json"

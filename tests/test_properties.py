@@ -1,6 +1,7 @@
 """Verifiers: clean mechanisms come back clean, planted bugs get caught,
 and every reported counterexample replays exactly."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -19,6 +20,8 @@ from netauction.framework import BundleTuple
 from netauction.generate import (
     FamilySpec,
     all_digraph_networks,
+    all_subsets,
+    all_undirected_networks,
     branch_market_fixture,
     embedded_branch_fixture,
     generate_instances,
@@ -123,6 +126,32 @@ def test_exploration_cdc_clean_on_all_small_digraphs():
 
 def test_trivial_cdp_is_consistent():
     assert check_cdp_consistency(trivial_cdp, all_digraph_networks(3)).ok
+
+
+def reference_digraph_networks(n):
+    """The digraph enumeration built network by network: a fresh seller set
+    per seller bitmask and a fresh map per network."""
+    ids = list(range(1, n + 1))
+    edge_choices = [all_subsets(j for j in ids if j != i) for i in ids]
+    for seller_bits in range(1 << n):
+        seller = frozenset(i for i in ids if seller_bits >> (i - 1) & 1)
+        for combo in itertools.product(*edge_choices):
+            yield seller, dict(zip(ids, combo))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_digraph_enumeration_shares_each_map_and_seller_set(n):
+    networks = list(all_digraph_networks(n))
+    assert networks == list(reference_digraph_networks(n))
+    assert len({id(out) for _, out in networks}) == 2 ** (n * (n - 1))
+    assert len({id(seller) for seller, _ in networks}) == 2 ** n
+
+
+def test_undirected_enumeration_shares_each_map_and_seller_set():
+    networks = list(all_undirected_networks(4))
+    assert len(networks) == 2 ** (6 + 4)
+    assert len({id(out) for _, out in networks}) == 64
+    assert len({id(seller) for seller, _ in networks}) == 16
 
 
 def test_greedy_locality_clean():
