@@ -52,12 +52,11 @@ class TooManyItems(AuctionError):
 # ---------------------------------------------------------------------------
 
 
-def graph_exploration_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
-    """Explore outward from the frontier, repeatedly sending the top half of
-    each newly discovered layer (by reported degree, ties to the lower id) to
-    the candidate side and the bottom half to the non-trading side.
+def graph_exploration_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+    """Explore outward from the frontier (the residual instance's seller
+    invitations), repeatedly sending the top half of each newly discovered
+    layer (by reported degree, ties to the lower id) to the candidate side
+    and the bottom half to the non-trading side.
     Discovery follows only non-traders' reported neighbors, so a bidder's own
     report never affects her own classification beyond her rank.
 
@@ -68,7 +67,7 @@ def graph_exploration_cdp(
     candidates: list[int] = []
     non_trading: set[int] = set()
     classified: set[int] = set()
-    layer = {i for i in frontier if i in reports}
+    layer = {i for i in residual_instance.seller_neighbors if i in reports}
     while layer:
         ranked = sorted(layer, key=lambda i: (-len(reports[i].neighbors), i))
         cut = (len(ranked) + 1) // 2
@@ -85,12 +84,12 @@ def graph_exploration_cdp(
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 
 
-def trivial_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
-    """Every frontier bidder becomes a candidate; nobody prices bundles."""
-    present = tuple(sorted({i for i in frontier if i in residual_instance.reports}))
-    return DistributorPartition(present, frozenset())
+def trivial_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+    """Every frontier bidder (a reporting seller invitee of the residual
+    instance) becomes a candidate; nobody prices bundles."""
+    reports = residual_instance.reports
+    present = sorted(i for i in residual_instance.seller_neighbors if i in reports)
+    return DistributorPartition(tuple(present), frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Round engine for combinatorial diffusion auctions.
 
-Each round: a candidate determination process (CDP) splits the current
-frontier's reachable crowd into candidate distributors and a non-trading set
+Each round: a candidate determination process (CDP), a function of the
+residual instance alone, splits the crowd reachable from the residual's seller
+invitations (the frontier) into candidate distributors and a non-trading set
 whose reported values price bundles; a bundle division process (BDP) hands
 every candidate a resale bundle and a reserve bundle; each candidate then
 either resells her bundle to her own invitees through a single-item diffusion
@@ -34,7 +35,8 @@ from .model import (
 )
 
 BoundPrice = Callable[[Bundle], Money]
-Cdp = Callable[[AuctionInstance, Sequence[int]], "DistributorPartition"]
+# A split of the residual instance, whose seller invitations are the frontier.
+Cdp = Callable[[AuctionInstance], "DistributorPartition"]
 Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
                tuple["BundleTuple", ...]]
 SingleItemMech = Callable[[AuctionInstance, Mapping[int, Money]], SingleItemResult]
@@ -257,14 +259,14 @@ def dcaf_run_detailed(
     """
     alive = set(instance.reports)
     remaining = full_bundle(instance.m)
-    frontier = tuple(sorted(i for i in instance.seller_neighbors if i in alive))
+    frontier = instance.seller_neighbors & alive
     allocation = dict.fromkeys(instance.reports, 0)
     payment = dict.fromkeys(instance.reports, 0)
     rounds: list[RoundState] = []
 
     while remaining and alive and frontier:
         residual = restrict_instance(instance, alive, frontier)
-        partition = cdp(residual, frontier)
+        partition = cdp(residual)
         pr, rev = round_prices(residual, partition)
         tuples = bdp(residual, remaining, partition.candidates, pr, rev)
         _check_tuples(tuples, len(partition.candidates), remaining)
@@ -305,10 +307,10 @@ def dcaf_run_detailed(
         ))
         alive -= removed
         remaining &= ~sold
-        next_frontier = set()
+        frontier = set()
         for j in removed:
-            next_frontier |= instance.reports[j].neighbors
-        frontier = tuple(sorted(next_frontier & alive))
+            frontier |= instance.reports[j].neighbors
+        frontier &= alive
 
     outcome = Outcome(allocation, payment, sum(payment.values()))
     check_outcome(instance, outcome)

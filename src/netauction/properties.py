@@ -186,7 +186,7 @@ def _others_contexts(
         ctx = []
         for j in others:
             rep = truth[j]
-            sub = frozenset(k for k in rep.neighbors if rng.random() < 0.5)
+            sub = frozenset(k for k in sorted(rep.neighbors) if rng.random() < 0.5)
             ctx.append(BidderReport(j, rng.choice(tables), sub))
         contexts.append(tuple(ctx))
     return contexts
@@ -321,7 +321,7 @@ def check_cdp_consistency(
     per call."""
     result = CheckResult("CDC", "exhaustive")
     lattices: dict[frozenset[int], tuple[list, list]] = {}
-    probes: dict[int, Valuation] = {}
+    probe_table = Valuation.from_pairs(1, {1: 7})  # network instances sell one item
 
     def flag(inst: AuctionInstance, i: int, deviation: BidderReport, note: str):
         result.violations.append(Violation("CDC", inst, i, deviation, 0, note=note))
@@ -329,9 +329,6 @@ def check_cdp_consistency(
     for seller, out_edges in networks:
         result.instances += 1
         inst = network_instance(seller, out_edges)
-        if inst.m not in probes:
-            probes[inst.m] = Valuation.from_pairs(inst.m, {full_bundle(inst.m): 7})
-        frontier = tuple(sorted(seller))
         for i, true_neighbors in out_edges.items():
             if true_neighbors not in lattices:
                 lattices[true_neighbors] = _subset_lattice(true_neighbors)
@@ -339,11 +336,11 @@ def check_cdp_consistency(
             rep = inst.reports[i]
             splits = []
             for sub in subs:
-                part = cdp(inst.with_report(rep.with_neighbors(sub)), frontier)
+                part = cdp(inst.with_report(rep.with_neighbors(sub)))
                 splits.append((frozenset(part.candidates), part.non_trading))
             full = splits[-1]
-            probe = rep.with_valuation(probes[inst.m])
-            bumped = cdp(inst.with_report(probe), frontier)
+            probe = rep.with_valuation(probe_table)
+            bumped = cdp(inst.with_report(probe))
             result.cases += len(subs) + 1
             if (frozenset(bumped.candidates), bumped.non_trading) != full:
                 flag(inst, i, probe, "split depends on a valuation report")
@@ -376,10 +373,9 @@ def check_bdp_locality(bdp: Bdp, instances: Iterable[AuctionInstance]) -> CheckR
     result = CheckResult("RDM", "exhaustive")
     for inst in instances:
         result.instances += 1
-        frontier = tuple(sorted(inst.seller_neighbors))
-        if not frontier:
+        if not inst.seller_neighbors:
             continue
-        partition = graph_exploration_cdp(inst, frontier)
+        partition = graph_exploration_cdp(inst)
         pr, rev = round_prices(inst, partition)
         pool = full_bundle(inst.m)
         baseline = bdp(inst, pool, partition.candidates, pr, rev)
@@ -412,10 +408,9 @@ def check_rdm_end_to_end(
     for inst in instances:
         result.instances += 1
         truthful = inst.truthful()
-        frontier = tuple(sorted(inst.seller_neighbors))
-        if not frontier:
+        if not inst.seller_neighbors:
             continue
-        candidates = graph_exploration_cdp(truthful, frontier).candidates
+        candidates = graph_exploration_cdp(truthful).candidates
         for i in candidates:
             true_rep = truthful.reports[i]
             subs, pairs = _subset_lattice(true_rep.neighbors)

@@ -61,7 +61,7 @@ def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
 
 
 def _ranked_exploration(
-    residual_instance: AuctionInstance, frontier: Sequence[int], rank: Callable
+    residual_instance: AuctionInstance, rank: Callable
 ) -> DistributorPartition:
     """Graph exploration that puts each layer's better-ranked half (by the
     ``rank`` key) in the candidate set."""
@@ -69,7 +69,7 @@ def _ranked_exploration(
     candidates: list[int] = []
     non_trading: set[int] = set()
     classified: set[int] = set()
-    layer = [i for i in frontier if i in reports]
+    layer = [i for i in residual_instance.seller_neighbors if i in reports]
     while layer:
         ranked = sorted(layer, key=rank)
         cut = (len(ranked) + 1) // 2
@@ -84,47 +84,39 @@ def _ranked_exploration(
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 
 
-def ascending_degree_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
+def ascending_degree_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
     """Graph exploration with the ranking inverted (fewest invitations
     first): a candidate who reports more neighbors can fall out of the
     candidate set."""
     reports = residual_instance.reports
     return _ranked_exploration(
-        residual_instance, frontier, lambda i: (len(reports[i].neighbors), i)
+        residual_instance, lambda i: (len(reports[i].neighbors), i)
     )
 
 
-def valuation_ranked_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
+def valuation_ranked_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
     """Graph exploration ranked by reported grand-bundle value: the split
     depends on valuations, which a candidate split must never do."""
     reports, grand = residual_instance.reports, full_bundle(residual_instance.m)
     return _ranked_exploration(
-        residual_instance, frontier, lambda i: (-reports[i].valuation.of(grand), i)
+        residual_instance, lambda i: (-reports[i].valuation.of(grand), i)
     )
 
 
-def invited_count_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
+def invited_count_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
     """Graph exploration ranked by how many reports invite each bidder,
     reachable or not: an unclassified bidder's invitations move the ranks of
     the bidders she names, so her report changes the split."""
     reports = residual_instance.reports
     invited = Counter(j for rep in reports.values() for j in rep.neighbors)
-    return _ranked_exploration(residual_instance, frontier, lambda i: (-invited[i], i))
+    return _ranked_exploration(residual_instance, lambda i: (-invited[i], i))
 
 
-def outside_invited_cdp(
-    residual_instance: AuctionInstance, frontier: Sequence[int]
-) -> DistributorPartition:
+def outside_invited_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
     """The exploration split minus every price setter that a bidder the
     split left out names: an unclassified bidder's invitations move only the
     non-trading side, and the candidates stay as they were."""
-    part = graph_exploration_cdp(residual_instance, frontier)
+    part = graph_exploration_cdp(residual_instance)
     named: set[int] = set()
     for i, rep in residual_instance.reports.items():
         if i not in part.non_trading and i not in part.candidates:

@@ -15,7 +15,7 @@ from netauction.drm import (
     run_with_config,
     trivial_cdp,
 )
-from netauction.framework import BundleTuple, DistributorPartition
+from netauction.framework import BundleTuple
 from netauction.generate import (
     FamilySpec,
     all_digraph_networks,
@@ -34,6 +34,7 @@ from netauction.model import (
     iter_subbundles,
 )
 
+import mutants
 from test_model import build_instance
 
 
@@ -60,46 +61,32 @@ def exploration_example():
 
 def test_exploration_split_hand_simulation():
     inst = exploration_example()
-    part = graph_exploration_cdp(inst, (1, 2, 3, 4))
+    part = graph_exploration_cdp(inst)
     assert part.candidates == (1, 2, 5)
     assert part.non_trading == {3, 4, 6}
 
 
 def test_singleton_frontier_is_a_lone_candidate():
     inst = build_instance(1, {1}, {1: {2}, 2: set()})
-    part = graph_exploration_cdp(inst, (1,))
+    part = graph_exploration_cdp(inst)
     assert part.candidates == (1,)
     assert part.non_trading == frozenset()
 
 
-def reference_exploration_cdp(residual_instance, frontier):
-    """The split as first written: every layer re-expands every price setter
-    found so far, keeps what lies among the reporting bidders and sorts by id
-    before ranking by degree."""
-    candidates = []
-    non_trading = set()
-    classified = set()
-    layer = sorted({i for i in frontier if i in residual_instance.reports})
-    while layer:
-        ranked = sorted(
-            layer, key=lambda i: (-len(residual_instance.reports[i].neighbors), i)
-        )
-        cut = (len(ranked) + 1) // 2
-        candidates.extend(ranked[:cut])
-        non_trading.update(ranked[cut:])
-        classified.update(ranked)
-        discovered = set()
-        for j in non_trading:
-            discovered |= residual_instance.reports[j].neighbors
-        discovered &= set(residual_instance.reports)
-        layer = sorted(discovered - classified)
-    return DistributorPartition(tuple(candidates), frozenset(non_trading))
+def reference_exploration_cdp(residual_instance):
+    """The split as first written, i.e. the mutants' ranked exploration with
+    the exploration split's rank: every layer re-expands every price setter
+    found so far and keeps what lies among the reporting bidders."""
+    reports = residual_instance.reports
+    return mutants._ranked_exploration(
+        residual_instance, lambda i: (-len(reports[i].neighbors), i)
+    )
 
 
 def ragged_network(rng):
     """A random invitation graph with the shapes a residual instance can
-    have: invitees without reports, self-invitations, and a frontier that is
-    unsorted, repeats ids and names ids nobody reports for."""
+    have: invitees without reports, self-invitations, and seller invitations
+    that name ids nobody reports for."""
     n = rng.randint(1, 40)
     ids = rng.sample(range(1, 3 * n + 1), n)
     universe = ids + [max(ids) + k for k in range(1, 6)]
@@ -111,45 +98,40 @@ def ragged_network(rng):
         for i in ids
     }
     frontier = [rng.choice(universe) for _ in range(rng.randint(0, 8))]
-    return AuctionInstance(1, frozenset(frontier), reports), tuple(frontier)
+    return AuctionInstance(1, frozenset(frontier), reports)
 
 
 def test_split_matches_the_reference_on_every_small_digraph():
     for n in range(1, 4):
         for seller, out_edges in all_digraph_networks(n):
             inst = network_instance(seller, out_edges)
-            frontier = tuple(sorted(seller))
-            assert graph_exploration_cdp(inst, frontier) == (
-                reference_exploration_cdp(inst, frontier)
-            )
+            assert graph_exploration_cdp(inst) == reference_exploration_cdp(inst)
 
 
 def test_split_matches_the_reference_on_ragged_random_graphs():
     rng = random.Random(8)
     for _ in range(300):
-        inst, frontier = ragged_network(rng)
-        assert graph_exploration_cdp(inst, frontier) == (
-            reference_exploration_cdp(inst, frontier)
-        )
+        inst = ragged_network(rng)
+        assert graph_exploration_cdp(inst) == reference_exploration_cdp(inst)
 
 
 def test_trivial_cdp_takes_the_whole_frontier():
     inst = exploration_example()
-    part = trivial_cdp(inst, (1, 2, 3, 4))
+    part = trivial_cdp(inst)
     assert part.candidates == (1, 2, 3, 4)
     assert part.non_trading == frozenset()
 
 
 def test_split_is_valuation_blind():
     inst = exploration_example()
-    baseline = graph_exploration_cdp(inst, (1, 2, 3, 4))
+    baseline = graph_exploration_cdp(inst)
     # hand every bidder a different loud table; the split must not move
     loud = inst
     for k, i in enumerate(sorted(inst.reports)):
         loud = loud.with_report(
             loud.reports[i].with_valuation(Valuation(1, (0, 50 + k)))
         )
-    assert graph_exploration_cdp(loud, (1, 2, 3, 4)) == baseline
+    assert graph_exploration_cdp(loud) == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_unqualified_distributor_rejected():
         {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
     )
 
-    def unreachable_cdp(residual, frontier):
+    def unreachable_cdp(residual):
         return DistributorPartition((2,), frozenset())
 
     with pytest.raises(UnqualifiedDistributor, match="candidate 2 is unreachable"):

@@ -32,6 +32,7 @@ from netauction.generate import (
 )
 from netauction.idm import idm_run
 from netauction.model import (
+    AuctionInstance,
     BidderReport,
     MechanismConfig,
     Valuation,
@@ -402,3 +403,31 @@ def test_violations_with_sampled_contexts_replay_exactly():
     assert result.violations  # the forced-resale gap shows up here too
     for violation in result.violations:
         assert replay_violation(drm, violation) == violation.delta
+
+
+def insertion_ordered_instance(order):
+    """Four bidders whose true neighbor sets are built by inserting ids in
+    ``order``.  Ids 1 and 9, and 2 and 10, share a slot in a small set's
+    hash table, so iteration order follows insertion order there."""
+    values = {1: 3, 2: 5, 9: 4, 10: 6}
+    edges = {1: (2, 10), 2: (9,), 9: (), 10: (1, 9)}
+    reports = {
+        i: BidderReport(i, Valuation(1, (0, values[i])), frozenset(order(edges[i])))
+        for i in edges
+    }
+    return AuctionInstance(1, frozenset({1}), reports, dict(reports))
+
+
+def test_sampled_contexts_depend_on_neighbor_sets_not_insertion_order():
+    ascending = insertion_ordered_instance(sorted)
+    descending = insertion_ordered_instance(lambda ids: sorted(ids, reverse=True))
+    assert ascending == descending
+    assert list(ascending.reports[10].neighbors) != list(descending.reports[10].neighbors)
+    space = DeviationSpace(v_max=2, others_budget=2)
+    ic = check_ic(drm, [ascending], space)
+    assert ic.violations
+    assert check_ic(drm, [descending], space) == ic
+    overcharging = mutants.overcharging_mechanism
+    ir = check_ir(overcharging, [ascending], space)
+    assert ir.violations
+    assert check_ir(overcharging, [descending], space) == ir
