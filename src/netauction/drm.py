@@ -84,14 +84,6 @@ def graph_exploration_cdp(residual_instance: AuctionInstance) -> DistributorPart
     return DistributorPartition(tuple(candidates), frozenset(non_trading))
 
 
-def trivial_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
-    """Every frontier bidder (a reporting seller invitee of the residual
-    instance) becomes a candidate; nobody prices bundles."""
-    reports = residual_instance.reports
-    present = sorted(i for i in residual_instance.seller_neighbors if i in reports)
-    return DistributorPartition(tuple(present), frozenset())
-
-
 # ---------------------------------------------------------------------------
 # Bundle division
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from .model import (
 
 BoundPrice = Callable[[Bundle], Money]
 # A split of the residual instance, whose seller invitations are the frontier.
+# It must neither keep nor mutate the instance it is handed: the candidacy
+# checker reuses one instance across calls, changing one report in between.
 Cdp = Callable[[AuctionInstance], "DistributorPartition"]
 Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
                tuple["BundleTuple", ...]]

@@ -314,50 +314,62 @@ def check_cdp_consistency(
     of invitation reports alone) by bumping one valuation at a time and
     requiring bitwise-identical output.
 
-    Each bidder costs one split call and one instance copy per neighbor
-    subset plus one for the probe, and one report copy per subset.  Each
-    split is reduced once to its (candidate set, non-trading set), and the
-    subsets and nested pairs of each distinct neighbor set are built once
-    per call."""
+    Each bidder costs one split call per neighbor subset plus one for the
+    probe, and no copy: each network gets one scratch instance (no ground
+    truth) whose ``reports`` the sweep rewrites one deviation at a time,
+    restoring the true report after each bidder.  The deviated reports of
+    each (bidder, true neighbor set) are built once per call, and a witness
+    instance only when a violation is flagged.  ``out_edges`` is only read,
+    so maps shared across networks stay intact."""
     result = CheckResult("CDC", "exhaustive")
-    lattices: dict[frozenset[int], tuple[list, list]] = {}
+    zero = Valuation.zero(1)
     probe_table = Valuation.from_pairs(1, {1: 7})  # network instances sell one item
+    # (bidder, true neighbors) -> her report per neighbor subset in lattice
+    # order (the true one last) then the probe, and the lattice's pairs.
+    deviations: dict[tuple[int, frozenset[int]], tuple[list, list]] = {}
 
-    def flag(inst: AuctionInstance, i: int, deviation: BidderReport, note: str):
-        result.violations.append(Violation("CDC", inst, i, deviation, 0, note=note))
+    def flag(i: int, deviation: BidderReport, note: str):
+        witness = network_instance(seller, out_edges)
+        result.violations.append(Violation("CDC", witness, i, deviation, 0, note=note))
 
     for seller, out_edges in networks:
         result.instances += 1
-        inst = network_instance(seller, out_edges)
+        bidders = []
+        reports = {}
         for i, true_neighbors in out_edges.items():
-            if true_neighbors not in lattices:
-                lattices[true_neighbors] = _subset_lattice(true_neighbors)
-            subs, pairs = lattices[true_neighbors]
-            rep = inst.reports[i]
+            key = (i, true_neighbors)
+            if key not in deviations:
+                subs, pairs = _subset_lattice(true_neighbors)
+                devs = [BidderReport(i, zero, sub) for sub in subs]
+                devs.append(BidderReport(i, probe_table, true_neighbors))
+                deviations[key] = devs, pairs
+            devs, pairs = deviations[key]
+            reports[i] = devs[-2]
+            bidders.append((i, devs, pairs))
+        scratch = AuctionInstance(1, seller, reports)
+        for i, devs, pairs in bidders:
             splits = []
-            for sub in subs:
-                part = cdp(inst.with_report(rep.with_neighbors(sub)))
+            for dev in devs:
+                reports[i] = dev
+                part = cdp(scratch)
                 splits.append((frozenset(part.candidates), part.non_trading))
+            reports[i] = devs[-2]
+            result.cases += len(devs)
+            bumped = splits.pop()
             full = splits[-1]
-            probe = rep.with_valuation(probe_table)
-            bumped = cdp(inst.with_report(probe))
-            result.cases += len(subs) + 1
-            if (frozenset(bumped.candidates), bumped.non_trading) != full:
-                flag(inst, i, probe, "split depends on a valuation report")
+            if bumped != full:
+                flag(i, devs[-1], "split depends on a valuation report")
             if i in full[1]:
-                for sub, (_, non_trading) in zip(subs, splits):
+                for dev, (_, non_trading) in zip(devs, splits):
                     if i not in non_trading:
-                        flag(inst, i, rep.with_neighbors(sub),
-                             "left the non-trading side by deviating")
+                        flag(i, dev, "left the non-trading side by deviating")
             for lo, hi in pairs:
                 cands_lo, non_trading_lo = splits[lo]
                 if i in cands_lo:
                     if i not in splits[hi][0]:
-                        flag(inst, i, rep.with_neighbors(subs[hi]),
-                             "candidate dropped after reporting more")
+                        flag(i, devs[hi], "candidate dropped after reporting more")
                 elif i not in non_trading_lo and splits[lo] != splits[hi]:
-                    flag(inst, i, rep.with_neighbors(subs[hi]),
-                         "unclassified bidder changed the split")
+                    flag(i, devs[hi], "unclassified bidder changed the split")
     return result
 
 

@@ -1,7 +1,8 @@
 """Deliberately broken mechanisms and processes.
 
 Each one plants exactly the defect its matching checker exists to catch;
-the mutation tests assert the checkers flag them.
+the mutation tests assert the checkers flag them.  The one sound process
+here, :func:`trivial_cdp`, is the simplest split the candidacy rules allow.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
         if outcome.allocation.get(i, 0) == 0:
             payment[i] = -1
     return Outcome.from_maps(outcome.allocation, payment)
+
+
+def trivial_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+    """Every frontier bidder (a reporting seller invitee of the residual
+    instance) becomes a candidate; nobody prices bundles."""
+    reports = residual_instance.reports
+    present = sorted(i for i in residual_instance.seller_neighbors if i in reports)
+    return DistributorPartition(tuple(present), frozenset())
 
 
 def _ranked_exploration(

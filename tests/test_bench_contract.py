@@ -79,14 +79,15 @@ def test_lab_ic_tracing_reaches_every_engine_layer():
 
 def test_lab_cdc_tracing_reaches_the_split_and_report_copies():
     # The tiny sweep (every digraph on up to 3 bidders) makes one split call
-    # and one instance copy per neighbor subset plus one per valuation probe,
-    # and one report copy per neighbor subset.  A checker that skips or adds
-    # split calls or copies changes what lab-cdc measures, so fail here.
+    # per neighbor subset plus one per valuation probe, on one scratch
+    # instance per network whose reports it rewrites in place: no instance
+    # copy and no report copy.  A checker that skips or adds split calls, or
+    # copies per call again, changes what lab-cdc measures, so fail here.
     calls = traced_calls("lab-cdc")
+    assert calls["model.AuctionInstance.with_report"] == 0
+    assert calls["model.BidderReport.with_neighbors"] == 0
     assert {span: n for span, n in calls.items() if n} == {
         "drm.graph_exploration_cdp": 5076,
-        "model.AuctionInstance.with_report": 5076,
-        "model.BidderReport.with_neighbors": 3506,
         "properties.check_cdp_consistency": 1,
         "generate.all_digraph_networks": 3,  # per set-up: n = 1, 2, 3
     }

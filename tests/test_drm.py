@@ -13,7 +13,6 @@ from netauction.drm import (
     greedy_bdp,
     random_single_item_bdp,
     run_with_config,
-    trivial_cdp,
 )
 from netauction.framework import BundleTuple
 from netauction.generate import (
@@ -117,7 +116,7 @@ def test_split_matches_the_reference_on_ragged_random_graphs():
 
 def test_trivial_cdp_takes_the_whole_frontier():
     inst = exploration_example()
-    part = trivial_cdp(inst)
+    part = mutants.trivial_cdp(inst)
     assert part.candidates == (1, 2, 3, 4)
     assert part.non_trading == frozenset()
 

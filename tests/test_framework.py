@@ -7,11 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netauction.critical import all_critical_structures
-from netauction.drm import (
-    graph_exploration_cdp,
-    greedy_bdp,
-    trivial_cdp,
-)
+from netauction.drm import graph_exploration_cdp, greedy_bdp
 from netauction.framework import (
     BundleTuple,
     DistributorPartition,
@@ -38,6 +34,7 @@ from netauction.model import (
     full_bundle,
 )
 
+import mutants
 from test_model import build_instance
 
 
@@ -254,7 +251,7 @@ def test_empty_network_empty_outcome():
 
 def test_single_neighbor_reserves_at_zero():
     inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
-    outcome = engine_outcome(inst, trivial_cdp, greedy_bdp, idm_run)
+    outcome = engine_outcome(inst, mutants.trivial_cdp, greedy_bdp, idm_run)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
     assert outcome.seller_revenue == 0
@@ -354,7 +351,7 @@ def test_overlapping_tuples_rejected():
                 1, {1, 2}, {1: set(), 2: set(), 3: set()},
                 {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
             ),
-            trivial_cdp,
+            mutants.trivial_cdp,
             clashing_bdp,
             idm_run,
         )

@@ -14,7 +14,6 @@ from netauction.drm import (
     idm_grand_bundle,
     run_with_config,
     run_with_config_detailed,
-    trivial_cdp,
 )
 from netauction.framework import BundleTuple
 from netauction.generate import (
@@ -26,6 +25,7 @@ from netauction.generate import (
     embedded_branch_fixture,
     generate_instances,
     monotone_tables,
+    network_instance,
     scalar_market,
     topology_family,
     two_round_showcase,
@@ -40,8 +40,10 @@ from netauction.model import (
     utility,
 )
 from netauction.properties import (
+    CheckResult,
     DeviationSpace,
     Violation,
+    _subset_lattice,
     check_bdp_locality,
     check_cdp_consistency,
     check_ic,
@@ -126,7 +128,7 @@ def test_exploration_cdc_clean_on_all_small_digraphs():
 
 
 def test_trivial_cdp_is_consistent():
-    assert check_cdp_consistency(trivial_cdp, all_digraph_networks(3)).ok
+    assert check_cdp_consistency(mutants.trivial_cdp, all_digraph_networks(3)).ok
 
 
 def reference_digraph_networks(n):
@@ -315,6 +317,90 @@ def test_outside_invited_cdp_caught_by_cdc():
         "unclassified bidder changed the split": 318,
         "left the non-trading side by deviating": 36,
     }
+
+
+def reference_cdp_consistency(cdp, networks):
+    """The candidacy sweep as it stood before the scratch instance: a fresh
+    network instance per network, and a copied report and instance per
+    split call."""
+    result = CheckResult("CDC", "exhaustive")
+    lattices = {}
+    probe_table = Valuation.from_pairs(1, {1: 7})
+
+    def flag(inst, i, deviation, note):
+        result.violations.append(Violation("CDC", inst, i, deviation, 0, note=note))
+
+    for seller, out_edges in networks:
+        result.instances += 1
+        inst = network_instance(seller, out_edges)
+        for i, true_neighbors in out_edges.items():
+            if true_neighbors not in lattices:
+                lattices[true_neighbors] = _subset_lattice(true_neighbors)
+            subs, pairs = lattices[true_neighbors]
+            rep = inst.reports[i]
+            splits = []
+            for sub in subs:
+                part = cdp(inst.with_report(rep.with_neighbors(sub)))
+                splits.append((frozenset(part.candidates), part.non_trading))
+            full = splits[-1]
+            probe = rep.with_valuation(probe_table)
+            bumped = cdp(inst.with_report(probe))
+            result.cases += len(subs) + 1
+            if (frozenset(bumped.candidates), bumped.non_trading) != full:
+                flag(inst, i, probe, "split depends on a valuation report")
+            if i in full[1]:
+                for sub, (_, non_trading) in zip(subs, splits):
+                    if i not in non_trading:
+                        flag(inst, i, rep.with_neighbors(sub),
+                             "left the non-trading side by deviating")
+            for lo, hi in pairs:
+                cands_lo, non_trading_lo = splits[lo]
+                if i in cands_lo:
+                    if i not in splits[hi][0]:
+                        flag(inst, i, rep.with_neighbors(subs[hi]),
+                             "candidate dropped after reporting more")
+                elif i not in non_trading_lo and splits[lo] != splits[hi]:
+                    flag(inst, i, rep.with_neighbors(subs[hi]),
+                         "unclassified bidder changed the split")
+    return result
+
+
+def recording_cdp(log):
+    """The exploration split, logging what each call was handed: the seller
+    set and every (bidder, neighbors, valuation), read at call time."""
+    def cdp(inst):
+        log.append((inst.seller_neighbors, tuple(
+            (i, rep.neighbors, rep.valuation) for i, rep in sorted(inst.reports.items())
+        )))
+        return graph_exploration_cdp(inst)
+    return cdp
+
+
+def test_cdc_sweep_hands_the_split_what_the_copying_reference_does():
+    networks = list(all_digraph_networks(3))
+    before = [(seller, dict(out_edges)) for seller, out_edges in networks]
+    fast_log, reference_log = [], []
+    fast = check_cdp_consistency(recording_cdp(fast_log), networks)
+    reference = reference_cdp_consistency(recording_cdp(reference_log), networks)
+    assert (fast.instances, fast.cases) == (reference.instances, reference.cases)
+    assert fast.violations == reference.violations == []
+    assert len(fast_log) == fast.cases
+    assert fast_log == reference_log
+    assert networks == before  # the shared maps come back untouched
+
+
+@pytest.mark.parametrize("cdp", [
+    mutants.ascending_degree_cdp,
+    mutants.valuation_ranked_cdp,
+    mutants.invited_count_cdp,
+    mutants.outside_invited_cdp,
+], ids=lambda cdp: cdp.__name__)
+def test_cdc_sweep_flags_what_the_copying_reference_does(cdp):
+    networks = list(all_digraph_networks(3))
+    before = [(seller, dict(out_edges)) for seller, out_edges in networks]
+    fast = check_cdp_consistency(cdp, networks)
+    assert fast.violations == reference_cdp_consistency(cdp, networks).violations
+    assert networks == before
 
 
 def locality_trap_instance():
