@@ -76,28 +76,19 @@ def _write_csv(path: str, headers: list[str], rows: list[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# The header `run` prints: the settings each mechanism reads, with the values
-# it ran with (drm-reserve runs with the reserve bid whatever the flag says).
-_RUN_HEADERS = {
-    "drm": "mechanism: drm  reserve-bidder: {reserve_bidder}",
-    "drm-random-bdp":
-        "mechanism: drm-random-bdp  seed: {seed}  reserve-bidder: {reserve_bidder}",
-    "drm-reserve": "mechanism: drm-reserve  reserve-bidder: True",
-    "idm": "mechanism: idm",
-    "baseline-direct": "mechanism: baseline-direct",
-}
-
-
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
-    config = MechanismConfig(reserve_bidder=args.reserve_bidder, rng_seed=args.seed)
+    config = MechanismConfig(rng_seed=args.seed)
     outcome = get_mechanism(args.mechanism)(instance, config)
     headers = ["bidder", "allocation", "payment"]
     rows = [
         [str(i), bundle_str(outcome.allocation[i]), str(outcome.payment[i])]
         for i in sorted(outcome.allocation)
     ]
-    print(_RUN_HEADERS[args.mechanism].format_map(vars(args)))
+    header = f"mechanism: {args.mechanism}"
+    if args.mechanism == "drm-random-bdp":  # the one mechanism that reads the seed
+        header += f"  seed: {args.seed}"
+    print(header)
     print(_format_table(headers, rows))
     print(f"seller revenue: {outcome.seller_revenue}")
     print(f"social welfare: {social_welfare(instance, outcome)}")
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--reserve-bidder", action="store_true")
     p_run.add_argument("--csv")
     p_run.set_defaults(fn=_cmd_run)
 

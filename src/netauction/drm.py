@@ -10,7 +10,6 @@ a virtual reserve bid at the resale-revenue level ("drm-reserve").
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -154,7 +153,7 @@ def greedy_bdp(
 
 
 CDPS = {"graph-exploration": graph_exploration_cdp}
-BDPS = {"greedy": greedy_bdp, "random-single-item": random_single_item_bdp}
+BDPS = {"greedy": greedy_bdp}
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +168,9 @@ def run_with_config(instance: AuctionInstance, config: MechanismConfig) -> Outco
 def run_with_config_detailed(
     instance: AuctionInstance, config: MechanismConfig
 ) -> DcafRun:
-    try:
-        bdp = BDPS[config.bdp]
-    except KeyError as exc:
-        raise AuctionError(f"unknown component name {exc}") from None
-    if bdp is random_single_item_bdp:
-        # One generator per run, shared by its rounds; greedy seeds none.
-        bdp = partial(bdp, rng=random.Random(config.rng_seed))
-    # Looked up per call, not bound at import: bench/tracing.py swaps the entry.
+    # Looked up per call, not bound at import: bench/tracing.py swaps the entries.
     return dcaf_run_detailed(
-        instance, CDPS["graph-exploration"], bdp, idm_run,
-        reserve_bidder=config.reserve_bidder,
+        instance, CDPS["graph-exploration"], BDPS["greedy"], idm_run
     )
 
 
@@ -215,11 +206,18 @@ def baseline_direct_second_price(
 
 
 def _drm_random(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
-    return run_with_config(instance, replace(config, bdp="random-single-item"))
+    # One generator per run, shared by its rounds.
+    bdp = partial(random_single_item_bdp, rng=random.Random(config.rng_seed))
+    return dcaf_run_detailed(
+        instance, CDPS["graph-exploration"], bdp, idm_run
+    ).outcome
 
 
 def _drm_reserve(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
-    return run_with_config(instance, replace(config, reserve_bidder=True))
+    return dcaf_run_detailed(
+        instance, CDPS["graph-exploration"], BDPS["greedy"], idm_run,
+        reserve_bidder=True,
+    ).outcome
 
 
 MECHANISMS: dict[str, Mechanism] = {

@@ -242,9 +242,6 @@ class BidderReport:
     def with_neighbors(self, neighbors: Iterable[int]) -> "BidderReport":
         return BidderReport(self.bidder_id, self.valuation, frozenset(neighbors))
 
-    def with_valuation(self, valuation: Valuation) -> "BidderReport":
-        return BidderReport(self.bidder_id, valuation, self.neighbors)
-
 
 @dataclass(frozen=True)
 class AuctionInstance:
@@ -303,10 +300,9 @@ class Outcome:
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Names and switches selecting a concrete mechanism assembly."""
+    """Run settings passed to every registered mechanism.  The registry name
+    alone selects the assembly; only drm-random-bdp reads the seed."""
 
-    bdp: str = "greedy"
-    reserve_bidder: bool = False
     rng_seed: int = 0
 
 

@@ -1,16 +1,22 @@
 """Command-line behavior: exit codes, determinism, table output."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netauction.cli import main
+from netauction.cli import build_parser, main
 from netauction.drm import MECHANISMS
 from netauction.generate import embedded_branch_fixture, two_round_showcase
 from netauction.instance_io import save_instance
-from netauction.model import MechanismConfig, bundle_str
+from netauction.model import MechanismConfig, bundle_str, social_welfare
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -41,6 +47,12 @@ def test_run_csv(fixture_file, tmp_path, capsys):
 
 def test_run_unknown_mechanism_is_usage_error(fixture_file):
     assert main(["run", "--mechanism", "nope", "--instance", str(fixture_file)]) == 2
+
+
+def test_run_reserve_bidder_flag_is_usage_error(fixture_file):
+    # drm-reserve is the one way to run with the reserve bid
+    args = ["run", "--mechanism", "drm", "--instance", str(fixture_file)]
+    assert main([*args, "--reserve-bidder"]) == 2
 
 
 def test_run_invalid_file_is_validation_error(tmp_path, capsys):
@@ -135,36 +147,48 @@ def _run_table(path, *flags):
     return csv_path.read_text().splitlines()
 
 
-def test_run_reserve_bidder_flag_matches_the_reserve_mechanism(tmp_path, capsys):
+def _expected_table(outcome):
+    """The CSV rows `run` should write for one outcome."""
+    return ["bidder,allocation,payment"] + [
+        f"{i},{bundle_str(outcome.allocation[i])},{outcome.payment[i]}"
+        for i in sorted(outcome.allocation)
+    ]
+
+
+def test_run_reserve_mechanism_writes_its_own_outcome(tmp_path, capsys):
+    inst = two_round_showcase()
     path = tmp_path / "showcase.json"
-    save_instance(path, two_round_showcase())
-    flagged = _run_table(path, "--mechanism", "drm", "--reserve-bidder")
-    flagged_totals = capsys.readouterr().out.splitlines()[-2:]
-    named = _run_table(path, "--mechanism", "drm-reserve")
-    assert flagged == named
-    assert flagged_totals == capsys.readouterr().out.splitlines()[-2:]
-    assert flagged != _run_table(path, "--mechanism", "drm")  # the flag matters here
+    save_instance(path, inst)
+    tables = {}
+    for name in ("drm-reserve", "drm"):
+        outcome = MECHANISMS[name](inst, MechanismConfig())
+        tables[name] = _run_table(path, "--mechanism", name)
+        assert tables[name] == _expected_table(outcome)
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"seller revenue: {outcome.seller_revenue}",
+            f"social welfare: {social_welfare(inst, outcome)}",
+        ]
+    assert tables["drm-reserve"] != tables["drm"]  # the reserve bid matters here
 
 
-# Each mechanism with the header `run --seed 3` prints for it, flag or no flag.
+# Each mechanism with the header `run --seed 3` prints for it.
 RUN_HEADERS = [
-    ("drm", [], "mechanism: drm  reserve-bidder: False"),
-    ("drm-random-bdp", ["--reserve-bidder"],
-     "mechanism: drm-random-bdp  seed: 3  reserve-bidder: True"),
-    ("drm-reserve", [], "mechanism: drm-reserve  reserve-bidder: True"),
-    ("idm", ["--reserve-bidder"], "mechanism: idm"),
-    ("baseline-direct", ["--reserve-bidder"], "mechanism: baseline-direct"),
+    ("drm", "mechanism: drm"),
+    ("drm-random-bdp", "mechanism: drm-random-bdp  seed: 3"),
+    ("drm-reserve", "mechanism: drm-reserve"),
+    ("idm", "mechanism: idm"),
+    ("baseline-direct", "mechanism: baseline-direct"),
 ]
 
 
 @pytest.mark.parametrize(
-    "mechanism, flags, header", RUN_HEADERS, ids=[case[0] for case in RUN_HEADERS]
+    "mechanism, header", RUN_HEADERS, ids=[case[0] for case in RUN_HEADERS]
 )
 def test_run_header_shows_the_settings_the_mechanism_reads(
-    fixture_file, capsys, mechanism, flags, header
+    fixture_file, capsys, mechanism, header
 ):
     args = ["run", "--mechanism", mechanism, "--instance", str(fixture_file),
-            "--seed", "3", *flags]
+            "--seed", "3"]
     assert main(args) == 0
     assert capsys.readouterr().out.splitlines()[0] == header
 
@@ -176,15 +200,28 @@ def test_run_seed_reaches_the_random_division(tmp_path, capsys):
     tables = []
     for seed in (0, 4):
         outcome = MECHANISMS["drm-random-bdp"](inst, MechanismConfig(rng_seed=seed))
-        expected = ["bidder,allocation,payment"] + [
-            f"{i},{bundle_str(outcome.allocation[i])},{outcome.payment[i]}"
-            for i in sorted(outcome.allocation)
-        ]
         table = _run_table(path, "--mechanism", "drm-random-bdp", "--seed", str(seed))
-        assert table == expected
+        assert table == _expected_table(outcome)
         assert f"seller revenue: {outcome.seller_revenue}" in capsys.readouterr().out
         tables.append(table)
     assert tables[0] != tables[1]
+
+
+def test_readme_run_synopsis_lists_the_run_options():
+    (synopsis,) = [line for line in README.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("netauction run ")]
+    (subcommands,) = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    options = {opt for action in subcommands.choices["run"]._actions
+               for opt in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z-]+", synopsis)) == options
+
+
+def test_readme_names_exactly_the_registered_mechanisms():
+    text = README.read_text(encoding="utf-8")
+    listed = text[text.index("Registered mechanisms"):].split("\n\n", 2)[1]
+    names = re.findall(r"^- `([^`]+)`", listed, flags=re.MULTILINE)
+    assert sorted(names) == sorted(MECHANISMS)
 
 
 def _many_items_file(tmp_path, m):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -128,7 +129,7 @@ def test_split_is_valuation_blind():
     loud = inst
     for k, i in enumerate(sorted(inst.reports)):
         loud = loud.with_report(
-            loud.reports[i].with_valuation(Valuation(1, (0, 50 + k)))
+            replace(loud.reports[i], valuation=Valuation(1, (0, 50 + k)))
         )
     assert graph_exploration_cdp(loud) == baseline
 

@@ -1,6 +1,7 @@
 """Model types, validation, qualification, and utility arithmetic."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -182,7 +183,7 @@ def test_report_filed_under_another_bidders_key_rejected():
 
 def test_truth_entry_that_is_the_report_is_checked_once():
     bad = BidderReport(1, Valuation(1, (1, 0)), frozenset())  # non-monotone
-    copy = bad.with_valuation(bad.valuation)  # equal, but another object
+    copy = replace(bad, valuation=bad.valuation)  # equal, but another object
     for truth_rep, listed in ((bad, 1), (copy, 2)):
         with pytest.raises(InstanceValidationError) as err:
             validate_instance(

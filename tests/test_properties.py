@@ -4,6 +4,7 @@ and every reported counterexample replays exactly."""
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -343,7 +344,7 @@ def reference_cdp_consistency(cdp, networks):
                 part = cdp(inst.with_report(rep.with_neighbors(sub)))
                 splits.append((frozenset(part.candidates), part.non_trading))
             full = splits[-1]
-            probe = rep.with_valuation(probe_table)
+            probe = replace(rep, valuation=probe_table)
             bumped = cdp(inst.with_report(probe))
             result.cases += len(subs) + 1
             if (frozenset(bumped.candidates), bumped.non_trading) != full:
