@@ -22,7 +22,6 @@ from . import generate as gen
 from .drm import (
     MECHANISMS,
     TooManyItems,
-    get_mechanism,
     graph_exploration_cdp,
     greedy_bdp,
 )
@@ -79,7 +78,7 @@ def _write_csv(path: str, headers: list[str], rows: list[list[str]]) -> None:
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
     config = MechanismConfig(rng_seed=args.seed)
-    outcome = get_mechanism(args.mechanism)(instance, config)
+    outcome = MECHANISMS[args.mechanism](instance, config)
     headers = ["bidder", "allocation", "payment"]
     rows = [
         [str(i), bundle_str(outcome.allocation[i]), str(outcome.payment[i])]
@@ -103,7 +102,7 @@ def _cmd_run(args) -> int:
 
 
 def _drm_fn(instance):
-    return get_mechanism("drm")(instance, MechanismConfig())
+    return MECHANISMS["drm"](instance, MechanismConfig())
 
 
 def _verify_family(scale: str):
@@ -207,8 +206,8 @@ def _cmd_compare(args) -> int:
     ]
     rows = []
     config = MechanismConfig()
-    drm = get_mechanism("drm")
-    baseline = get_mechanism("baseline-direct")
+    drm = MECHANISMS["drm"]
+    baseline = MECHANISMS["baseline-direct"]
     for path in paths:
         instance = load_instance(path)
         ours = drm(instance, config)

@@ -191,11 +191,11 @@ def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outc
     if result.winner is not None:
         allocation[result.winner] = full_bundle(instance.m)
     payment = {i: result.payments.get(i, 0) for i in instance.reports}
-    return Outcome.from_maps(allocation, payment)
+    return Outcome(allocation, payment)
 
 
 def baseline_direct_second_price(
-    instance: AuctionInstance, config: MechanismConfig | None = None
+    instance: AuctionInstance, config: MechanismConfig
 ) -> Outcome:
     """No-diffusion yardstick: IDM with every invitation ignored, so the
     grand bundle goes to the seller's direct neighbors at the second price."""
@@ -227,12 +227,3 @@ MECHANISMS: dict[str, Mechanism] = {
     "idm": idm_grand_bundle,
     "baseline-direct": baseline_direct_second_price,
 }
-
-
-def get_mechanism(name: str) -> Mechanism:
-    try:
-        return MECHANISMS[name]
-    except KeyError:
-        raise AuctionError(
-            f"unknown mechanism {name!r}; known: {', '.join(sorted(MECHANISMS))}"
-        ) from None

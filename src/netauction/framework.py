@@ -314,7 +314,7 @@ def dcaf_run_detailed(
             frontier |= instance.reports[j].neighbors
         frontier &= alive
 
-    outcome = Outcome(allocation, payment, sum(payment.values()))
+    outcome = Outcome(allocation, payment)
     check_outcome(instance, outcome)
     return DcafRun(outcome, tuple(rounds))
 

@@ -20,15 +20,19 @@ class SingleItemResult:
 
     IDM also records how it got there: the top bidder, her critical
     sequence and every sequence node's outside offer ``vstar``.  Other
-    single-item mechanisms leave them at their empty defaults.
+    single-item mechanisms leave them at their empty defaults.  The revenue
+    is derived from the payments, never stored.
     """
 
     winner: int | None
     payments: dict[int, Money]
-    revenue: Money
     top_bidder: int | None = None
     critical_sequence: tuple[int, ...] = ()
     vstar: dict[int, Money] = field(default_factory=dict)
+
+    @property
+    def revenue(self) -> Money:
+        return sum(self.payments.values())
 
     def utility(self, bidder: int, value: Money) -> Money:
         """The utility of ``bidder`` here, valuing the item at ``value``."""
@@ -53,7 +57,7 @@ def idm_run(
     qualified = structure.critical_nodes.keys()
     payments = dict.fromkeys(local_instance.reports, 0)
     if not qualified:
-        return SingleItemResult(None, payments, 0)
+        return SingleItemResult(None, payments)
     for i in qualified:
         if i not in item_value:
             raise KeyError(f"no item value for qualified bidder {i}")
@@ -82,5 +86,4 @@ def idm_run(
         i = sequence[pos]
         payments[i] = vstar[i] - vstar[sequence[pos + 1]]
     payments[winner] = vstar[winner]
-    revenue = sum(payments.values())
-    return SingleItemResult(winner, payments, revenue, top, sequence, vstar)
+    return SingleItemResult(winner, payments, top, sequence, vstar)

@@ -452,11 +452,12 @@ def check_revenue_consistency(
     single_item_mech: SingleItemMech,
     markets: Iterable[AuctionInstance],
     rev_grid: Sequence[Money],
-    space: DeviationSpace = DeviationSpace(),
 ) -> CheckResult:
     """No bidder with positive truthful utility can flip whether the local
     market's revenue clears a resale threshold while keeping her utility
-    positive, for any threshold on the grid."""
+    positive, for any threshold on the grid.  Each bidder's deviations are
+    those of the default :class:`DeviationSpace`."""
+    space = DeviationSpace()
     rng = random.Random(space.seed)
     result = CheckResult("RC", "exhaustive")
     for market in markets:
@@ -464,6 +465,7 @@ def check_revenue_consistency(
         truthful = market.truthful()
         grand = full_bundle(market.m)
         base = sell_grand_bundle(truthful, single_item_mech)
+        base_revenue = base.revenue
         result.cases += 1
         for i in sorted(qualified_set(truthful)):
             true_rep = truthful.reports[i]
@@ -478,12 +480,13 @@ def check_revenue_consistency(
                 result.cases += 1
                 if dev_result.utility(i, true_value) <= 0:
                     continue
+                dev_revenue = dev_result.revenue
                 for level in rev_grid:
-                    if (base.revenue < level) != (dev_result.revenue < level):
+                    if (base_revenue < level) != (dev_revenue < level):
                         result.violations.append(
                             Violation(
                                 "RC", market, i, dev,
-                                dev_result.revenue - base.revenue,
+                                dev_revenue - base_revenue,
                                 note=f"threshold {level} flipped",
                             )
                         )

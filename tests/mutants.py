@@ -37,7 +37,7 @@ def qualified_second_price(instance: AuctionInstance) -> Outcome:
         rest = sorted((values[i] for i in reachable if i != winner), reverse=True)
         allocation[winner] = grand
         payment[winner] = rest[0] if rest else 0
-    return Outcome.from_maps(allocation, payment)
+    return Outcome(allocation, payment)
 
 
 def overcharging_mechanism(instance: AuctionInstance) -> Outcome:
@@ -48,7 +48,7 @@ def overcharging_mechanism(instance: AuctionInstance) -> Outcome:
     for i, bundle in outcome.allocation.items():
         if bundle:
             payment[i] = instance.reports[i].valuation.of(grand) + 1
-    return Outcome.from_maps(outcome.allocation, payment)
+    return Outcome(outcome.allocation, payment)
 
 
 def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
@@ -58,7 +58,7 @@ def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
     for i in qualified_set(instance):
         if outcome.allocation.get(i, 0) == 0:
             payment[i] = -1
-    return Outcome.from_maps(outcome.allocation, payment)
+    return Outcome(outcome.allocation, payment)
 
 
 def trivial_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
@@ -179,4 +179,4 @@ def leaky_idm(
         return result
     payments = dict(result.payments)
     payments[first] -= item_value[first]
-    return replace(result, payments=payments, revenue=sum(payments.values()))
+    return replace(result, payments=payments)

@@ -345,9 +345,7 @@ def test_criterion_7_locality_and_revenue_consistency():
     )
     locality = check_bdp_locality(greedy_bdp, locality_family)
     markets = topology_family(("line", "star", "branch"), 4, m=1, v_max=3)
-    consistency = check_revenue_consistency(
-        idm_run, markets, range(0, 7), DeviationSpace(v_max=3, budget=1 << 20)
-    )
+    consistency = check_revenue_consistency(idm_run, markets, range(0, 7))
     planted_locality = check_bdp_locality(
         mutants.degree_ordered_greedy_bdp, [locality_trap_instance()]
     )

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, table output."""
 
 import argparse
+import importlib
 import json
 import re
 from pathlib import Path
@@ -14,6 +15,8 @@ from netauction.drm import MECHANISMS
 from netauction.generate import embedded_branch_fixture, two_round_showcase
 from netauction.instance_io import save_instance
 from netauction.model import MechanismConfig, bundle_str, social_welfare
+
+from test_io import MALFORMED, MALFORMED_IDS
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -71,6 +74,15 @@ def test_run_out_of_range_item_count_is_validation_error(tmp_path, capsys, m):
     }))
     assert main(["run", "--mechanism", "drm", "--instance", str(bad)]) == 3
     assert f"item count {m}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)
+def test_run_malformed_file_is_validation_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["run", "--mechanism", "drm", "--instance", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def _bidder(**fields):
@@ -222,6 +234,16 @@ def test_readme_names_exactly_the_registered_mechanisms():
     listed = text[text.index("Registered mechanisms"):].split("\n\n", 2)[1]
     names = re.findall(r"^- `([^`]+)`", listed, flags=re.MULTILINE)
     assert sorted(names) == sorted(MECHANISMS)
+
+
+def test_readme_imports_resolve():
+    imports = re.findall(r"from (netauction[\w.]*) import (\w+(?:, \w+)*)",
+                         README.read_text(encoding="utf-8"))
+    assert imports
+    for module, names in imports:
+        loaded = importlib.import_module(module)
+        for name in names.split(", "):
+            assert hasattr(loaded, name), f"README imports {module}.{name}"
 
 
 def _many_items_file(tmp_path, m):

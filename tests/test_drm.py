@@ -7,9 +7,9 @@ from dataclasses import replace
 import pytest
 
 from netauction.drm import (
+    MECHANISMS,
     TooManyItems,
     baseline_direct_second_price,
-    get_mechanism,
     graph_exploration_cdp,
     greedy_bdp,
     random_single_item_bdp,
@@ -25,7 +25,6 @@ from netauction.generate import (
     two_round_showcase,
 )
 from netauction.model import (
-    AuctionError,
     AuctionInstance,
     BidderReport,
     MechanismConfig,
@@ -300,25 +299,18 @@ def test_drm_branch_composition():
     assert outcome.seller_revenue == 2
 
 
-def test_registry_names_and_unknown():
-    for name in ("drm", "drm-random-bdp", "drm-reserve", "idm", "baseline-direct"):
-        get_mechanism(name)
-    with pytest.raises(AuctionError):
-        get_mechanism("nope")
-
-
 def test_drm_variants_run_and_conserve():
     family = generate_instances(FamilySpec(n=6, m=2, v_max=4, count=25, seed=77))
     config = MechanismConfig(rng_seed=5)
     for inst in family:
         for name in ("drm", "drm-random-bdp", "drm-reserve"):
-            outcome = get_mechanism(name)(inst, config)
+            outcome = MECHANISMS[name](inst, config)
             assert outcome.seller_revenue >= 0
 
 
 def test_random_bdp_mechanism_is_seed_deterministic():
     inst = generate_instances(FamilySpec(n=6, m=2, v_max=4, count=1, seed=3))[0]
-    mech = get_mechanism("drm-random-bdp")
+    mech = MECHANISMS["drm-random-bdp"]
     assert mech(inst, MechanismConfig(rng_seed=11)) == mech(
         inst, MechanismConfig(rng_seed=11)
     )
@@ -338,19 +330,21 @@ def test_baseline_direct_second_price():
         1, {1, 2}, {1: set(), 2: set()},
         {1: Valuation(1, (0, 3)), 2: Valuation(1, (0, 7))},
     )
-    outcome = baseline_direct_second_price(inst)
+    outcome = baseline_direct_second_price(inst, MechanismConfig())
     assert outcome.allocation[2] == 1
     assert outcome.payment[2] == 3
     lone = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 3))})
-    outcome = baseline_direct_second_price(lone)
+    outcome = baseline_direct_second_price(lone, MechanismConfig())
     assert outcome.payment[1] == 0
-    assert baseline_direct_second_price(build_instance(1, set(), {})).seller_revenue == 0
+    assert baseline_direct_second_price(
+        build_instance(1, set(), {}), MechanismConfig()
+    ).seller_revenue == 0
     # A tie between direct neighbors goes to the lower id at the tied value.
     tie = build_instance(
         1, {2, 3}, {2: set(), 3: set()},
         {2: Valuation(1, (0, 5)), 3: Valuation(1, (0, 5))},
     )
-    outcome = baseline_direct_second_price(tie)
+    outcome = baseline_direct_second_price(tie, MechanismConfig())
     assert outcome.allocation == {2: 1, 3: 0}
     assert outcome.payment == {2: 5, 3: 0}
     # No diffusion: bidder 3, invited by 1 and valued above all, is ignored.
@@ -358,7 +352,7 @@ def test_baseline_direct_second_price():
         1, {1, 2}, {1: {3}, 2: set(), 3: set()},
         {1: Valuation(1, (0, 4)), 2: Valuation(1, (0, 2)), 3: Valuation(1, (0, 9))},
     )
-    outcome = baseline_direct_second_price(invited)
+    outcome = baseline_direct_second_price(invited, MechanismConfig())
     assert outcome.allocation == {1: 1, 2: 0, 3: 0}
     assert outcome.payment == {1: 2, 2: 0, 3: 0}
 

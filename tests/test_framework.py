@@ -1,6 +1,7 @@
 """Round engine: pricing, resale process branches, loop invariants."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from netauction.generate import (
 )
 from netauction.idm import idm_run
 from netauction.model import (
+    AuctionError,
     BidderReport,
     Outcome,
     Valuation,
@@ -312,7 +314,7 @@ def test_rounds_conserve_everything_on_random_corpus():
     )
     for inst in family:
         run = dcaf_run_detailed(inst, graph_exploration_cdp, greedy_bdp, idm_run)
-        check_outcome(inst, run.outcome)  # disjointness, revenue sum, untouched
+        check_outcome(inst, run.outcome)  # disjointness, untouched
         removed_so_far = set()
         for state in run.rounds:
             assert state.intake >= 0
@@ -320,23 +322,20 @@ def test_rounds_conserve_everything_on_random_corpus():
             removed_so_far |= state.removed
             assert state.removed  # progress every round
         assert len(run.rounds) <= len(inst.reports)
-        assert sum(run.outcome.payment.values()) == run.outcome.seller_revenue
+        assert sum(state.intake for state in run.rounds) == run.outcome.seller_revenue
 
 
-@pytest.mark.parametrize("allocation, payment, revenue, message", [
-    ({1: 0b01, 2: 0b11}, {}, 0, "bidder 2 overlaps an earlier allocation"),
-    ({1: 0b100}, {}, 0, "bidder 1 allocated unknown items"),
-    ({}, {1: 2, 2: 1}, 2, "seller revenue does not equal the payment sum"),
-    ({3: 0b01}, {}, 0, "unqualified bidder 3 was touched"),
-    ({}, {3: -1}, -1, "unqualified bidder 3 was touched"),
-], ids=["overlap", "unknown-item", "revenue-sum", "unqualified-won", "unqualified-paid"])
-def test_check_outcome_rejects_each_broken_invariant(
-    allocation, payment, revenue, message
-):
+@pytest.mark.parametrize("allocation, payment, message", [
+    ({1: 0b01, 2: 0b11}, {}, "bidder 2 overlaps an earlier allocation"),
+    ({1: 0b100}, {}, "bidder 1 allocated unknown items"),
+    ({3: 0b01}, {}, "unqualified bidder 3 was touched"),
+    ({}, {3: -1}, "unqualified bidder 3 was touched"),
+], ids=["overlap", "unknown-item", "unqualified-won", "unqualified-paid"])
+def test_check_outcome_rejects_each_broken_invariant(allocation, payment, message):
     inst = build_instance(2, {1, 2}, {1: set(), 2: set(), 3: set()})  # 3 unreached
-    check_outcome(inst, Outcome({1: 0b01, 2: 0b10}, {1: 1, 2: 1}, 2))
+    check_outcome(inst, Outcome({1: 0b01, 2: 0b10}, {1: 1, 2: 1}))
     with pytest.raises(AssertionError, match=message):
-        check_outcome(inst, Outcome(allocation, payment, revenue))
+        check_outcome(inst, Outcome(allocation, payment))
 
 
 def test_overlapping_tuples_rejected():
@@ -355,6 +354,61 @@ def test_overlapping_tuples_rejected():
             clashing_bdp,
             idm_run,
         )
+
+
+def overlapping_cdp(residual):
+    return DistributorPartition((1,), frozenset({1}))
+
+
+def nested_cdp(residual):
+    # Bidder 1 alone invites bidder 2, so 2 lies inside 1's reach.
+    return DistributorPartition((1, 2), frozenset())
+
+
+def outside_pool_bdp(instance, remaining, candidates, pr, rev):
+    return tuple(BundleTuple(remaining << 1, 0) for _ in candidates)
+
+
+@pytest.mark.parametrize("cdp, bdp, error, message", [
+    (overlapping_cdp, greedy_bdp, InvalidTuple,
+     "candidate and non-trading sets overlap"),
+    (mutants.trivial_cdp, outside_pool_bdp, InvalidTuple,
+     r"\(resale=\{2\}, reserve=\{\}\) leaves the remaining item pool"),
+    (nested_cdp, greedy_bdp, AuctionError,
+     "candidate reaches overlap at distributor 2"),
+], ids=["split-overlap", "outside-pool", "nested-reaches"])
+def test_unsound_split_or_division_rejected(cdp, bdp, error, message):
+    inst = build_instance(
+        1, {1}, {1: {2}, 2: set()},
+        {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
+    )
+    with pytest.raises(error, match=message):
+        dcaf_run_detailed(inst, cdp, bdp, idm_run)
+
+
+def test_charging_the_virtual_reserve_bid_rejected():
+    inst = build_instance(
+        1, {2}, {2: {7}, 7: set()},
+        {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 5))},
+    )
+
+    def charging_idm(market, item_value):
+        result = idm_run(market, item_value)
+        payments = dict(result.payments)
+        payments[max(market.reports)] = 1  # the virtual bid has the top id
+        return replace(result, payments=payments)
+
+    reach = all_critical_structures(inst).critical_children[2]
+    price = lambda b: 3 if b else 0
+    with pytest.raises(AuctionError, match="virtual reserve bid must never pay"):
+        drp_run(inst, 2, BundleTuple(1, 1), price, price, charging_idm,
+                reach=reach, reserve_bidder=True)
+
+
+def test_idm_rejects_a_missing_item_value():
+    market = build_instance(1, {1}, {1: {2}, 2: set()})
+    with pytest.raises(KeyError, match="no item value for qualified bidder 2"):
+        idm_run(market, {1: 3})
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Instance files: round trips, envelope completion, malformed input."""
 
+import re
+
 import pytest
 
 from netauction.generate import FamilySpec, generate_instances
@@ -37,6 +39,25 @@ def test_duplicate_bidder_id_rejected():
         '    {"id": 1, "neighbors": [], "valuation": []}',
     )
     with pytest.raises(ParseError):
+        parse_instance(text)
+
+
+# Well-formed JSON that is not an instance, and the parse error it must raise.
+MALFORMED = [
+    ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[1], 2], [[1], 3]]}]}', "bidder 1: bundle listed twice"),
+    ("[1]", "top level must be an object"),
+    ('{"schema_version": 2, "m": 1, "seller_neighbors": []}',
+     "unsupported schema version 2"),
+    ('{"seller_neighbors": []}', "missing field 'm'"),
+    ('{"m": 1}', "missing field 'seller_neighbors'"),
+]
+MALFORMED_IDS = ["bundle-twice", "not-object", "schema-version", "no-m", "no-seller"]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_instance_rejected(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
         parse_instance(text)
 
 

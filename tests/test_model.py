@@ -326,11 +326,11 @@ def test_qualified_equals_closure_oracle_on_random_digraphs(data):
 
 def test_utility_examples():
     rep = BidderReport(1, Valuation(1, (0, 5)), frozenset())
-    empty = Outcome({1: 0}, {1: 0}, 0)
+    empty = Outcome({1: 0}, {1: 0})
     assert utility(rep, empty, 1) == 0
-    won = Outcome({1: 1}, {1: 3}, 3)
+    won = Outcome({1: 1}, {1: 3})
     assert utility(rep, won, 1) == 2
-    paid = Outcome({1: 0}, {1: -4}, -4)
+    paid = Outcome({1: 0}, {1: -4})
     assert utility(rep, paid, 1) == 4
     with pytest.raises(UnknownBidder):
         utility(rep, empty, 9)
@@ -341,8 +341,8 @@ def test_utility_examples():
 )
 def test_utility_linear_in_payment(value, payment, delta):
     rep = BidderReport(1, Valuation(1, (0, value)), frozenset())
-    base = Outcome({1: 1}, {1: payment}, payment)
-    shifted = Outcome({1: 1}, {1: payment + delta}, payment + delta)
+    base = Outcome({1: 1}, {1: payment})
+    shifted = Outcome({1: 1}, {1: payment + delta})
     assert utility(rep, shifted, 1) == utility(rep, base, 1) - delta
 
 

@@ -69,7 +69,7 @@ def idm_standalone(instance):
 
 
 def baseline(instance):
-    return baseline_direct_second_price(instance)
+    return baseline_direct_second_price(instance, MechanismConfig())
 
 
 TINY = topology_family(("line", "star", "branch"), 3, v_max=2)
