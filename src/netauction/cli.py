@@ -151,7 +151,7 @@ def _run_verify(prop: str, scale: str) -> CheckResult:
         ("line", "star", "branch"), 4, m=1, v_max=3,
         profiles_per_shape=None if scale == "small" else 16, seed=3,
     )
-    return check_revenue_consistency(idm_run, markets, range(0, 7))
+    return check_revenue_consistency(idm_run, markets)
 
 
 def _cmd_verify(args) -> int:

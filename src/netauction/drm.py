@@ -180,7 +180,7 @@ def sell_grand_bundle(
     """Sell all items as one lot at the bidders' reported values; the
     mechanism itself finds who qualifies."""
     grand = full_bundle(instance.m)
-    values = {i: rep.valuation.of(grand) for i, rep in instance.reports.items()}
+    values = {i: rep.valuation.values[grand] for i, rep in instance.reports.items()}
     return single_item_mech(instance, values)
 
 

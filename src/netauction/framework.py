@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .critical import all_critical_structures
+from .critical import Unqualified, all_critical_structures
 from .idm import SingleItemResult
 from .model import (
     AuctionError,
@@ -45,10 +45,6 @@ SingleItemMech = Callable[[AuctionInstance, Mapping[int, Money]], SingleItemResu
 
 
 class InvalidTuple(AuctionError):
-    pass
-
-
-class UnqualifiedDistributor(AuctionError):
     pass
 
 
@@ -130,7 +126,7 @@ def price_fn(tn_reports: Sequence[BidderReport], bundle: Bundle) -> Money:
     when fewer than two of them exist."""
     if len(tn_reports) < 2:
         return 0
-    values = sorted((rep.valuation.of(bundle) for rep in tn_reports), reverse=True)
+    values = sorted((rep.valuation.values[bundle] for rep in tn_reports), reverse=True)
     return values[1]
 
 
@@ -205,10 +201,11 @@ def drp_run(
 
     resale = bundle_tuple.resale
     if resale and locals_:
+        bar = rev(resale)
         seller_edges = residual_instance.reports[distributor].neighbors & locals_
         market = restrict_instance(residual_instance, locals_, seller_edges)
         item_value = {
-            j: residual_instance.reports[j].valuation.of(resale) for j in locals_
+            j: residual_instance.reports[j].valuation.values[resale] for j in locals_
         }
         virtual = None
         if reserve_bidder:
@@ -220,13 +217,12 @@ def drp_run(
             market = AuctionInstance(
                 market.m, market.seller_neighbors | {virtual}, reports
             )
-            item_value[virtual] = rev(resale)
+            item_value[virtual] = bar
         result = single_item_mech(market, item_value)
         if result.winner is not None and result.winner != virtual:
             if virtual is not None and result.payments.get(virtual, 0) != 0:
                 raise AuctionError("virtual reserve bid must never pay")
             revenue = result.revenue
-            bar = rev(resale) if virtual is None else item_value[virtual]
             if revenue >= bar:
                 for j in locals_:
                     payment[j] = result.payments.get(j, 0)
@@ -257,7 +253,9 @@ def dcaf_run_detailed(
 
     Rounds repeat until the item pool, the set of unprocessed participants,
     or the frontier empties; whoever is left gets nothing and pays nothing.
-    Every round removes at least one participant, so the loop ends.
+    The loop ends because the next frontier holds only invitees of the
+    bidders a round removed: a round that removes nobody leaves it empty,
+    and every other round shrinks the set of participants.
     """
     alive = set(instance.reports)
     remaining = full_bundle(instance.m)
@@ -280,9 +278,7 @@ def dcaf_run_detailed(
         resold_flags = []
         for cand, tup in zip(partition.candidates, tuples):
             if cand not in structure.critical_children:
-                raise UnqualifiedDistributor(
-                    f"candidate {cand} is unreachable in the residual graph"
-                )
+                raise Unqualified(cand)
             reach = structure.critical_children[cand]
             if reach & claimed:
                 raise AuctionError(

@@ -260,18 +260,6 @@ def all_undirected_networks(
             yield seller, frozen
 
 
-def network_instance(
-    seller: frozenset[int], out_edges: Mapping[int, frozenset[int]]
-) -> AuctionInstance:
-    """One-item, zero-valuation instance over a bare network (valuations are
-    irrelevant to the candidate-split checkers).  Skips validation for speed;
-    the enumerations above only produce well-formed networks.  Only reads
-    ``out_edges``, so a map shared across networks stays intact."""
-    zero = Valuation.zero(1)
-    reports = {i: BidderReport(i, zero, out_edges[i]) for i in out_edges}
-    return AuctionInstance(1, seller, reports, dict(reports))
-
-
 # ---------------------------------------------------------------------------
 # Hand fixtures
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ by inviting, which can make her payment negative (she receives money).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .critical import all_critical_structures
@@ -16,19 +16,21 @@ from .model import AuctionInstance, Money
 
 @dataclass(frozen=True)
 class SingleItemResult:
-    """Outcome of one local single-item market.
-
-    IDM also records how it got there: the top bidder, her critical
-    sequence and every sequence node's outside offer ``vstar``.  Other
-    single-item mechanisms leave them at their empty defaults.  The revenue
-    is derived from the payments, never stored.
+    """Outcome of one local single-item market, and how IDM got there: the
+    top bidder's critical sequence and every sequence node's outside offer
+    ``vstar`` (both empty when nobody qualifies).  Two values are derived,
+    never stored: the top bidder, the last node of her own critical
+    sequence, and the revenue, the sum of the payments.
     """
 
     winner: int | None
     payments: dict[int, Money]
-    top_bidder: int | None = None
-    critical_sequence: tuple[int, ...] = ()
-    vstar: dict[int, Money] = field(default_factory=dict)
+    critical_sequence: tuple[int, ...]
+    vstar: dict[int, Money]
+
+    @property
+    def top_bidder(self) -> int | None:
+        return self.critical_sequence[-1] if self.critical_sequence else None
 
     @property
     def revenue(self) -> Money:
@@ -57,7 +59,7 @@ def idm_run(
     qualified = structure.critical_nodes.keys()
     payments = dict.fromkeys(local_instance.reports, 0)
     if not qualified:
-        return SingleItemResult(None, payments)
+        return SingleItemResult(None, payments, (), {})
     for i in qualified:
         if i not in item_value:
             raise KeyError(f"no item value for qualified bidder {i}")
@@ -86,4 +88,4 @@ def idm_run(
         i = sequence[pos]
         payments[i] = vstar[i] - vstar[sequence[pos + 1]]
     payments[winner] = vstar[winner]
-    return SingleItemResult(winner, payments, top, sequence, vstar)
+    return SingleItemResult(winner, payments, sequence, vstar)

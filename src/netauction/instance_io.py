@@ -120,7 +120,7 @@ def parse_instance(text: str) -> AuctionInstance:
 
 def _bidder_obj(rep: BidderReport) -> dict[str, Any]:
     table = [
-        [list(bundle_items(mask)), rep.valuation.of(mask)]
+        [list(bundle_items(mask)), rep.valuation.values[mask]]
         for mask in iter_subbundles(full_bundle(rep.valuation.m))
         if mask
     ]

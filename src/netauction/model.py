@@ -195,9 +195,6 @@ class Valuation:
                 f"table has {len(self.values)} entries, expected {1 << self.m}"
             )
 
-    def of(self, bundle: Bundle) -> Money:
-        return self.values[bundle]
-
     @classmethod
     def zero(cls, m: int) -> "Valuation":
         return cls(m, (0,) * (1 << m))
@@ -256,14 +253,6 @@ class AuctionInstance:
     seller_neighbors: frozenset[int]
     reports: dict[int, BidderReport]
     ground_truth: dict[int, BidderReport] | None = None
-
-    def true_report(self, bidder: int) -> BidderReport:
-        if self.ground_truth is None:
-            raise UnknownBidder("instance carries no ground truth")
-        try:
-            return self.ground_truth[bidder]
-        except KeyError:
-            raise UnknownBidder(f"no true type for bidder {bidder}") from None
 
     def with_report(self, report: BidderReport) -> "AuctionInstance":
         """Copy of this instance with one bidder's report swapped (used by
@@ -422,7 +411,7 @@ def utility(true_type: BidderReport, outcome: Outcome, bidder: int) -> Money:
     """True value of the allocated bundle minus the payment."""
     if bidder not in outcome.allocation or bidder not in outcome.payment:
         raise UnknownBidder(f"bidder {bidder} missing from outcome")
-    return true_type.valuation.of(outcome.allocation[bidder]) - outcome.payment[bidder]
+    return true_type.valuation.values[outcome.allocation[bidder]] - outcome.payment[bidder]
 
 
 def restrict_instance(
@@ -471,5 +460,5 @@ def social_welfare(instance: AuctionInstance, outcome: Outcome) -> Money:
     total = 0
     for bid, bundle in outcome.allocation.items():
         if bundle and bid in types:
-            total += types[bid].valuation.of(bundle)
+            total += types[bid].valuation.values[bundle]
     return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .drm import graph_exploration_cdp, sell_grand_bundle
 from .framework import (
@@ -21,7 +21,7 @@ from .framework import (
     SingleItemMech,
     round_prices,
 )
-from .generate import all_subsets, monotone_tables, network_instance
+from .generate import all_subsets, instance_from_parts, monotone_tables
 from .model import (
     AuctionInstance,
     BidderReport,
@@ -329,7 +329,9 @@ def check_cdp_consistency(
     deviations: dict[tuple[int, frozenset[int]], tuple[list, list]] = {}
 
     def flag(i: int, deviation: BidderReport, note: str):
-        witness = network_instance(seller, out_edges)
+        witness = instance_from_parts(
+            1, seller, out_edges, dict.fromkeys(out_edges, zero)
+        )
         result.violations.append(Violation("CDC", witness, i, deviation, 0, note=note))
 
     for seller, out_edges in networks:
@@ -447,16 +449,18 @@ def check_rdm_end_to_end(
 # Revenue consistency of the local single-item mechanism
 # ---------------------------------------------------------------------------
 
+# The resale thresholds the local revenue is tested against.
+RC_THRESHOLDS = range(7)
+
 
 def check_revenue_consistency(
     single_item_mech: SingleItemMech,
     markets: Iterable[AuctionInstance],
-    rev_grid: Sequence[Money],
 ) -> CheckResult:
     """No bidder with positive truthful utility can flip whether the local
     market's revenue clears a resale threshold while keeping her utility
-    positive, for any threshold on the grid.  Each bidder's deviations are
-    those of the default :class:`DeviationSpace`."""
+    positive, for any threshold 0..6 (:data:`RC_THRESHOLDS`).  Each
+    bidder's deviations are those of the default :class:`DeviationSpace`."""
     space = DeviationSpace()
     rng = random.Random(space.seed)
     result = CheckResult("RC", "exhaustive")
@@ -469,7 +473,7 @@ def check_revenue_consistency(
         result.cases += 1
         for i in sorted(qualified_set(truthful)):
             true_rep = truthful.reports[i]
-            true_value = true_rep.valuation.of(grand)
+            true_value = true_rep.valuation.values[grand]
             if base.utility(i, true_value) <= 0:
                 continue
             devs, clipped = _unilateral_deviations(true_rep, market.m, space, rng)
@@ -481,7 +485,7 @@ def check_revenue_consistency(
                 if dev_result.utility(i, true_value) <= 0:
                     continue
                 dev_revenue = dev_result.revenue
-                for level in rev_grid:
+                for level in RC_THRESHOLDS:
                     if (base_revenue < level) != (dev_revenue < level):
                         result.violations.append(
                             Violation(
@@ -505,11 +509,12 @@ def replay_violation(mechanism: MechanismFn, violation: Violation) -> Money:
     """Recompute the stored delta from scratch; soundness means equality."""
     if violation.prop == "IR":
         outcome = mechanism(violation.deviated_instance())
-        true_rep = violation.instance.true_report(violation.bidder)
+        true_rep = violation.base_instance().reports[violation.bidder]
         return utility(true_rep, outcome, violation.bidder)
     if violation.prop == "IC":
-        true_rep = violation.instance.true_report(violation.bidder)
-        u_truth = utility(true_rep, mechanism(violation.base_instance()), violation.bidder)
+        base = violation.base_instance()
+        true_rep = base.reports[violation.bidder]
+        u_truth = utility(true_rep, mechanism(base), violation.bidder)
         u_dev = utility(true_rep, mechanism(violation.deviated_instance()), violation.bidder)
         return u_dev - u_truth
     if violation.prop == "WBB":

@@ -32,7 +32,7 @@ def qualified_second_price(instance: AuctionInstance) -> Outcome:
     allocation = {i: 0 for i in instance.reports}
     payment = {i: 0 for i in instance.reports}
     if reachable:
-        values = {i: instance.reports[i].valuation.of(grand) for i in reachable}
+        values = {i: instance.reports[i].valuation.values[grand] for i in reachable}
         winner = min(reachable, key=lambda i: (-values[i], i))
         rest = sorted((values[i] for i in reachable if i != winner), reverse=True)
         allocation[winner] = grand
@@ -47,7 +47,7 @@ def overcharging_mechanism(instance: AuctionInstance) -> Outcome:
     payment = dict(outcome.payment)
     for i, bundle in outcome.allocation.items():
         if bundle:
-            payment[i] = instance.reports[i].valuation.of(grand) + 1
+            payment[i] = instance.reports[i].valuation.values[grand] + 1
     return Outcome(outcome.allocation, payment)
 
 
@@ -108,7 +108,7 @@ def valuation_ranked_cdp(residual_instance: AuctionInstance) -> DistributorParti
     depends on valuations, which a candidate split must never do."""
     reports, grand = residual_instance.reports, full_bundle(residual_instance.m)
     return _ranked_exploration(
-        residual_instance, lambda i: (-reports[i].valuation.of(grand), i)
+        residual_instance, lambda i: (-reports[i].valuation.values[grand], i)
     )
 
 
@@ -151,12 +151,12 @@ def degree_ordered_greedy_bdp(
     tuples: dict[int, BundleTuple] = {}
     pool = remaining
     for cand in order:
-        value = residual_instance.reports[cand].valuation.of
+        value = residual_instance.reports[cand].valuation.values
         best_resale, best_resale_score = 0, 0
         best_reserve, best_reserve_score = 0, 0
         for b in iter_subbundles(pool):
-            resale_score = max(value(b), rev(b)) - pr(b)
-            reserve_score = value(b) - pr(b)
+            resale_score = max(value[b], rev(b)) - pr(b)
+            reserve_score = value[b] - pr(b)
             if resale_score > best_resale_score:
                 best_resale, best_resale_score = b, resale_score
             if reserve_score > best_reserve_score:

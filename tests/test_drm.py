@@ -21,7 +21,7 @@ from netauction.generate import (
     all_digraph_networks,
     embedded_branch_fixture,
     generate_instances,
-    network_instance,
+    instance_from_parts,
     two_round_showcase,
 )
 from netauction.model import (
@@ -103,7 +103,9 @@ def ragged_network(rng):
 def test_split_matches_the_reference_on_every_small_digraph():
     for n in range(1, 4):
         for seller, out_edges in all_digraph_networks(n):
-            inst = network_instance(seller, out_edges)
+            inst = instance_from_parts(
+                1, seller, out_edges, dict.fromkeys(out_edges, Valuation.zero(1))
+            )
             assert graph_exploration_cdp(inst) == reference_exploration_cdp(inst)
 
 
@@ -199,13 +201,13 @@ def reference_greedy_bdp(residual_instance, remaining, candidates, pr, rev, ties
     tuples = {}
     pool = remaining
     for cand in sorted(candidates):
-        value = residual_instance.reports[cand].valuation.of
+        value = residual_instance.reports[cand].valuation.values
         best_resale, best_resale_score = 0, 0
         best_reserve, best_reserve_score = 0, 0
         for b in iter_subbundles(pool):
             price = pr(b)
-            resale_score = max(value(b), rev(b)) - price
-            reserve_score = value(b) - price
+            resale_score = max(value[b], rev(b)) - price
+            reserve_score = value[b] - price
             if resale_score > best_resale_score:
                 best_resale, best_resale_score = b, resale_score
             elif resale_score == best_resale_score > 0:

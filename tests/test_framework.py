@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netauction.critical import all_critical_structures
+from netauction.critical import Unqualified, all_critical_structures
 from netauction.drm import graph_exploration_cdp, greedy_bdp
 from netauction.framework import (
     BundleTuple,
     DistributorPartition,
     InvalidTuple,
-    UnqualifiedDistributor,
     dcaf_run_detailed,
     drp_run,
     price_fn,
@@ -23,6 +22,7 @@ from netauction.generate import (
     FamilySpec,
     embedded_branch_fixture,
     generate_instances,
+    line_market_fixture,
     two_round_showcase,
 )
 from netauction.idm import idm_run
@@ -107,7 +107,7 @@ def test_pricing_matches_its_max_and_sorted_definitions():
                 for k in range(count)
             ]
             for bundle in range(1 << m):
-                values = [rep.valuation.of(bundle) for rep in reps]
+                values = [rep.valuation.values[bundle] for rep in reps]
                 assert resale_revenue_fn(reps, bundle) == max(values, default=0)
                 second = sorted(values, reverse=True)[1] if count >= 2 else 0
                 assert price_fn(reps, bundle) == second
@@ -386,6 +386,19 @@ def test_unsound_split_or_division_rejected(cdp, bdp, error, message):
         dcaf_run_detailed(inst, cdp, bdp, idm_run)
 
 
+def test_split_that_classifies_nobody_ends_after_one_round():
+    # The round removes nobody, so the next frontier, which holds only
+    # invitees of removed bidders, is empty although all three remain.
+    def idle_cdp(residual):
+        return DistributorPartition((), frozenset())
+
+    run = dcaf_run_detailed(line_market_fixture(), idle_cdp, greedy_bdp, idm_run)
+    assert len(run.rounds) == 1
+    assert run.rounds[0].removed == frozenset()
+    assert set(run.outcome.allocation.values()) == {0}
+    assert set(run.outcome.payment.values()) == {0}
+
+
 def test_charging_the_virtual_reserve_bid_rejected():
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
@@ -444,5 +457,5 @@ def test_unqualified_distributor_rejected():
     def unreachable_cdp(residual):
         return DistributorPartition((2,), frozenset())
 
-    with pytest.raises(UnqualifiedDistributor, match="candidate 2 is unreachable"):
+    with pytest.raises(Unqualified, match="bidder 2 is not reachable from the seller"):
         dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, idm_run)

@@ -122,7 +122,7 @@ def golden_data():
     checks.append(result_data(check_bdp_locality(greedy_bdp, lab)))
     checks.append(result_data(check_rdm_end_to_end(drm, lab)))
     markets = topology_family(("line", "star", "branch"), 3, m=1, v_max=3)
-    checks.append(result_data(check_revenue_consistency(idm_run, markets, range(7))))
+    checks.append(result_data(check_revenue_consistency(idm_run, markets)))
     return data
 
 

@@ -11,7 +11,7 @@ from test_critical import random_instance
 
 def values_of(instance):
     return {
-        i: instance.reports[i].valuation.of(1) for i in qualified_set(instance)
+        i: instance.reports[i].valuation.values[1] for i in qualified_set(instance)
     }
 
 
@@ -51,7 +51,7 @@ def test_empty_market_is_no_sale():
     inst = scalar_market("line", (3,))
     empty = AuctionInstance(1, frozenset(), dict(inst.reports))  # nobody invited
     result = idm_run(empty, {})
-    assert result.winner is None
+    assert result.winner is None and result.top_bidder is None
     assert all(p == 0 for p in result.payments.values())
     assert result.revenue == 0
 

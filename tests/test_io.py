@@ -29,7 +29,7 @@ def test_minimal_file():
     inst = parse_instance(MINIMAL)
     assert inst.m == 1
     assert qualified_set(inst) == {1}
-    assert inst.reports[1].valuation.of(1) == 5
+    assert inst.reports[1].valuation.values[1] == 5
 
 
 def test_duplicate_bidder_id_rejected():
@@ -51,8 +51,13 @@ MALFORMED = [
      "unsupported schema version 2"),
     ('{"seller_neighbors": []}', "missing field 'm'"),
     ('{"m": 1}', "missing field 'seller_neighbors'"),
+    ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[0], 2]]}]}', "bidder 1: bad valuation entry: item 0 outside 1..16"),
+    ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[17], 2]]}]}', "bidder 1: bad valuation entry: item 17 outside 1..16"),
 ]
-MALFORMED_IDS = ["bundle-twice", "not-object", "schema-version", "no-m", "no-seller"]
+MALFORMED_IDS = ["bundle-twice", "not-object", "schema-version", "no-m", "no-seller",
+                 "item-0", "item-17"]
 
 
 @pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)
@@ -75,8 +80,8 @@ def test_envelope_completion_fills_unlisted_bundles():
     """
     inst = parse_instance(text)
     v = inst.reports[1].valuation
-    assert v.of(0b01) == 3 and v.of(0b10) == 5
-    assert v.of(0b11) == 5  # lower envelope: max over listed subsets
+    assert v.values[0b01] == 3 and v.values[0b10] == 5
+    assert v.values[0b11] == 5  # lower envelope: max over listed subsets
 
 
 def test_listed_non_monotone_value_still_rejected():

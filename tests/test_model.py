@@ -1,6 +1,7 @@
 """Model types, validation, qualification, and utility arithmetic."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -121,6 +122,16 @@ def test_from_pairs_matches_the_reference_completion():
             assert Valuation.from_pairs(m, pairs) == reference_from_pairs(m, pairs)
 
 
+@pytest.mark.parametrize("m, values, message", [
+    (1, (0, 1, 2), "table has 3 entries, expected 2"),
+    (-1, (), "item count -1 outside 0..16"),
+    (17, (), "item count 17 outside 0..16"),
+], ids=["wrong-length", "m-negative", "m-17"])
+def test_valuation_rejects_a_table_of_the_wrong_shape(m, values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Valuation(m, values)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -129,7 +140,7 @@ def test_from_pairs_matches_the_reference_completion():
 def test_monotone_table_accepted():
     v = Valuation(2, (0, 3, 5, 7))
     inst = build_instance(2, {1}, {1: set()}, {1: v})
-    assert inst.reports[1].valuation.of(0b11) == 7
+    assert inst.reports[1].valuation.values[0b11] == 7
 
 
 def test_non_monotone_rejected():
@@ -197,7 +208,7 @@ def test_absent_bidders_materialized_with_zero_reports():
     inst = build_instance(1, {1}, {1: {2}})  # bidder 2 never reported
     assert 2 in inst.reports
     assert inst.reports[2].neighbors == frozenset()
-    assert inst.reports[2].valuation.of(1) == 0
+    assert inst.reports[2].valuation.values[1] == 0
 
 
 @pytest.mark.parametrize(
@@ -241,12 +252,24 @@ def test_valuation_must_cover_the_instance_items():
         )
 
 
+def test_item_count_beyond_the_limit_rejected():
+    with pytest.raises(InstanceValidationError) as err:
+        validate_instance(AuctionInstance(17, frozenset(), {}))
+    assert [str(x) for x in err.value.violations] == ["item count 17 outside 0..16"]
+
+
 def test_reported_neighbors_must_lie_inside_truth():
     v = Valuation.zero(1)
     reports = {1: BidderReport(1, v, frozenset({2})), 2: BidderReport(2, v, frozenset())}
     truth = {1: BidderReport(1, v, frozenset()), 2: BidderReport(2, v, frozenset())}
     with pytest.raises(InstanceValidationError):
         validate_instance(AuctionInstance(1, frozenset({1}), reports, truth))
+
+
+def test_truthful_needs_ground_truth():
+    inst = build_instance(1, {1}, {1: set()})
+    with pytest.raises(UnknownBidder, match="instance carries no ground truth"):
+        inst.truthful()
 
 
 @given(st.data())
@@ -370,3 +393,10 @@ def test_restrict_single_candidate():
     sub = restrict_instance(inst, {6}, {6})
     assert set(sub.reports) == {6}
     assert qualified_set(sub) == {6}
+
+
+def test_restrict_rejects_a_frontier_outside_the_kept_set():
+    inst = build_instance(1, {1}, {1: {2}, 2: set()})
+    message = "new seller neighbors must lie inside the kept set"
+    with pytest.raises(ValueError, match=message):
+        restrict_instance(inst, {2}, {1})

@@ -25,8 +25,8 @@ from netauction.generate import (
     branch_market_fixture,
     embedded_branch_fixture,
     generate_instances,
+    instance_from_parts,
     monotone_tables,
-    network_instance,
     scalar_market,
     topology_family,
     two_round_showcase,
@@ -168,7 +168,7 @@ def test_greedy_locality_clean():
 
 def test_idm_revenue_consistency_clean():
     markets = topology_family(("line", "star", "branch"), 3, v_max=3)
-    result = check_revenue_consistency(idm_run, markets, range(0, 7))
+    result = check_revenue_consistency(idm_run, markets)
     assert result.ok
 
 
@@ -228,7 +228,7 @@ def test_drm_ic_gap_by_value_misreport_when_others_misreport():
         BidderReport(4, Valuation(2, (0, 2, 0, 2)), frozenset()),
         BidderReport(5, Valuation(2, (0, 0, 0, 2)), frozenset({4})),
     )
-    true_neighbors = instance.true_report(1).neighbors
+    true_neighbors = instance.ground_truth[1].neighbors
     deviation = BidderReport(1, Valuation(2, (0, 0, 0, 1)), true_neighbors)
     witness = Violation("IC", instance, 1, deviation, 3, context)
     assert deviation.neighbors == true_neighbors == {5}
@@ -253,6 +253,15 @@ def test_bdp_level_locality_still_holds_on_the_gap_instance():
     assert check_bdp_locality(greedy_bdp, [scalar_market("line", (1, 2))]).ok
 
 
+def test_rdm_checkers_count_an_instance_without_seller_invitations():
+    uninvited = instance_from_parts(1, (), {1: ()}, {1: Valuation.zero(1)})
+    for result in (
+        check_bdp_locality(greedy_bdp, [uninvited]),
+        check_rdm_end_to_end(drm, [uninvited]),
+    ):
+        assert (result.instances, result.cases, result.ok) == (1, 0, True)
+
+
 # ---------------------------------------------------------------------------
 # Mutation tests: planted bugs must be caught
 # ---------------------------------------------------------------------------
@@ -263,6 +272,16 @@ def test_overcharging_mechanism_caught_by_ir():
     assert not result.ok
     v = result.violations[0]
     assert replay_violation(mutants.overcharging_mechanism, v) == v.delta
+
+
+def test_summary_marks_a_clipped_run():
+    # The hub's 64 invitation subsets exceed a budget of 40.
+    star = scalar_market("star", (1, 0, 2, 1, 0, 2, 1))
+    result = check_ir(drm, [star], DeviationSpace(budget=40))
+    assert result.summary() == (
+        "IR: ok [sampled] instances=1 cases=46 violations=0"
+        " (budget exceeded; sampled)"
+    )
 
 
 def test_hiding_pays_under_plain_second_price():
@@ -280,6 +299,13 @@ def test_subsidizing_mechanism_caught_by_wbb():
     assert result.violations[0].delta < 0
     for v in result.violations:
         assert replay_violation(mutants.subsidizing_mechanism, v) == v.delta
+
+
+@pytest.mark.parametrize("prop", ["CDC", "RDM", "RC"])
+def test_no_replay_rule_for_split_division_or_revenue_witnesses(prop):
+    witness = Violation(prop, scalar_market("line", (1, 2)), 1, None, 0)
+    with pytest.raises(ValueError, match=f"no replay rule for {prop}"):
+        replay_violation(drm, witness)
 
 
 def cdc_notes(cdp):
@@ -300,6 +326,15 @@ def test_valuation_ranked_cdp_caught_by_cdc():
     assert cdc_notes(mutants.valuation_ranked_cdp) == {
         "split depends on a valuation report": 256,
     }
+
+
+def test_summary_prints_the_first_witness_and_its_note():
+    result = check_cdp_consistency(mutants.valuation_ranked_cdp, all_digraph_networks(2))
+    assert result.summary() == (
+        "CDC: VIOLATED [exhaustive] instances=16 cases=80 violations=4\n"
+        "  first witness: CDC at bidder 2, delta=0"
+        " (split depends on a valuation report)"
+    )
 
 
 def test_invited_count_cdp_caught_by_cdc():
@@ -333,7 +368,9 @@ def reference_cdp_consistency(cdp, networks):
 
     for seller, out_edges in networks:
         result.instances += 1
-        inst = network_instance(seller, out_edges)
+        inst = instance_from_parts(
+            1, seller, out_edges, dict.fromkeys(out_edges, Valuation.zero(1))
+        )
         for i, true_neighbors in out_edges.items():
             if true_neighbors not in lattices:
                 lattices[true_neighbors] = _subset_lattice(true_neighbors)
@@ -431,7 +468,7 @@ def test_greedy_locality_holds_on_the_trap():
 
 def test_leaky_idm_caught_by_revenue_consistency():
     markets = [branch_market_fixture()]
-    result = check_revenue_consistency(mutants.leaky_idm, markets, range(0, 7))
+    result = check_revenue_consistency(mutants.leaky_idm, markets)
     assert not result.ok
 
 
