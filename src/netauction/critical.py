@@ -21,7 +21,6 @@ from .model import AuctionError, AuctionInstance, qualified_set
 
 class Unqualified(AuctionError):
     def __init__(self, bidder: int):
-        self.bidder = bidder
         super().__init__(f"bidder {bidder} is not reachable from the seller")
 
 

@@ -39,7 +39,6 @@ GREEDY_MAX_POOL = 12
 
 class TooManyItems(AuctionError):
     def __init__(self, count: int):
-        self.count = count
         super().__init__(
             f"{count} items remain; greedy bundle division enumerates all "
             f"sub-bundles and is capped at {GREEDY_MAX_POOL}"

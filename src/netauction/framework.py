@@ -164,7 +164,6 @@ class DrpResult:
     allocation: dict[int, Bundle]
     payment: dict[int, Money]
     resold: bool
-    local_revenue: Money
 
     def intake(self) -> Money:
         return sum(self.payment.values())
@@ -222,18 +221,17 @@ def drp_run(
         if result.winner is not None and result.winner != virtual:
             if virtual is not None and result.payments.get(virtual, 0) != 0:
                 raise AuctionError("virtual reserve bid must never pay")
-            revenue = result.revenue
-            if revenue >= bar:
+            if result.revenue >= bar:
                 for j in locals_:
                     payment[j] = result.payments.get(j, 0)
                 allocation[result.winner] = resale
                 payment[distributor] = pr(resale) - bar
-                return DrpResult(allocation, payment, True, revenue)
+                return DrpResult(allocation, payment, True)
 
     reserve = bundle_tuple.reserve
     allocation[distributor] = reserve
     payment[distributor] = pr(reserve)
-    return DrpResult(allocation, payment, False, 0)
+    return DrpResult(allocation, payment, False)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ SCHEMA_VERSION = 1
 
 class ParseError(AuctionError):
     def __init__(self, reason: str, line: int | None = None):
-        self.reason, self.line = reason, line
         at = f" (line {line})" if line is not None else ""
         super().__init__(f"cannot parse instance{at}: {reason}")
 

@@ -106,63 +106,13 @@ def monotone_floor(vals: Sequence[Money], mask: Bundle) -> Money:
 # ---------------------------------------------------------------------------
 
 
-class ValidationIssue(AuctionError):
-    """One concrete invariant violation found while validating an instance."""
-
-
-class NonMonotoneValuation(ValidationIssue):
-    def __init__(self, bidder: int, smaller: Bundle, larger: Bundle):
-        self.bidder, self.smaller, self.larger = bidder, smaller, larger
-        super().__init__(
-            f"bidder {bidder}: value of {bundle_str(smaller)} exceeds "
-            f"value of superset {bundle_str(larger)}"
-        )
-
-
-class EmptyBundleValue(ValidationIssue):
-    def __init__(self, bidder: int, value: Money):
-        self.bidder, self.value = bidder, value
-        super().__init__(f"bidder {bidder}: empty bundle valued at {value}, must be 0")
-
-
-class NegativeValue(ValidationIssue):
-    def __init__(self, bidder: int, bundle: Bundle, value: Money):
-        self.bidder, self.bundle, self.value = bidder, bundle, value
-        super().__init__(
-            f"bidder {bidder}: negative value {value} for {bundle_str(bundle)}"
-        )
-
-
-class SelfLoop(ValidationIssue):
-    def __init__(self, bidder: int):
-        self.bidder = bidder
-        super().__init__(f"bidder {bidder} lists itself as a neighbor")
-
-
-class UnknownNeighborId(ValidationIssue):
-    """An invitation to an id that is not a positive integer; ``bidder`` is
-    the inviting bidder, or None for the seller."""
-
-    def __init__(self, bidder: int | None, neighbor: int):
-        self.bidder, self.neighbor = bidder, neighbor
-        who = "the seller" if bidder is None else f"bidder {bidder}"
-        super().__init__(f"{who} lists invalid neighbor id {neighbor!r}")
-
-
-class NeighborSupersetOfTruth(ValidationIssue):
-    def __init__(self, bidder: int):
-        self.bidder = bidder
-        super().__init__(
-            f"bidder {bidder} reports neighbors not present in the true neighbor set"
-        )
-
-
 class InstanceValidationError(AuctionError):
-    """Raised by :func:`validate_instance`; carries every violation found."""
+    """Raised by :func:`validate_instance`; ``violations`` holds one message
+    per issue found."""
 
-    def __init__(self, violations: list[ValidationIssue]):
+    def __init__(self, violations: list[str]):
         self.violations = violations
-        lines = "; ".join(str(v) for v in violations)
+        lines = "; ".join(violations)
         super().__init__(f"{len(violations)} validation issue(s): {lines}")
 
 
@@ -311,29 +261,36 @@ def _referenced_ids(instance: AuctionInstance) -> set[int]:
 
 
 def _valid_id(bid: object) -> bool:
-    return isinstance(bid, int) and bid >= 1
+    return type(bid) is int and bid >= 1
 
 
-def _check_report(rep: BidderReport, m: int, violations: list[ValidationIssue]) -> None:
+def _check_report(rep: BidderReport, m: int, violations: list[str]) -> None:
+    bid, values = rep.bidder_id, rep.valuation.values
     if rep.valuation.m != m:
-        violations.append(ValidationIssue(
-            f"bidder {rep.bidder_id}: valuation over {rep.valuation.m} item(s), not {m}"
-        ))
-    if rep.valuation.values[0] != 0:
-        violations.append(EmptyBundleValue(rep.bidder_id, rep.valuation.values[0]))
-    negative = next((b for b, v in enumerate(rep.valuation.values) if v < 0), None)
+        violations.append(
+            f"bidder {bid}: valuation over {rep.valuation.m} item(s), not {m}"
+        )
+    if values[0] != 0:
+        violations.append(
+            f"bidder {bid}: empty bundle valued at {values[0]}, must be 0"
+        )
+    negative = next((b for b, v in enumerate(values) if v < 0), None)
     if negative is not None:
         violations.append(
-            NegativeValue(rep.bidder_id, negative, rep.valuation.values[negative])
+            f"bidder {bid}: negative value {values[negative]} "
+            f"for {bundle_str(negative)}"
         )
     pair = rep.valuation.monotonicity_violation()
     if pair is not None:
-        violations.append(NonMonotoneValuation(rep.bidder_id, *pair))
-    if rep.bidder_id in rep.neighbors:
-        violations.append(SelfLoop(rep.bidder_id))
+        violations.append(
+            f"bidder {bid}: value of {bundle_str(pair[0])} exceeds "
+            f"value of superset {bundle_str(pair[1])}"
+        )
+    if bid in rep.neighbors:
+        violations.append(f"bidder {bid} lists itself as a neighbor")
     for nb in rep.neighbors:
         if not _valid_id(nb):
-            violations.append(UnknownNeighborId(rep.bidder_id, nb))
+            violations.append(f"bidder {bid} lists invalid neighbor id {nb!r}")
 
 
 def validate_instance(instance: AuctionInstance) -> AuctionInstance:
@@ -342,22 +299,21 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     Normalization materializes absent bidders (ids referenced as neighbors
     but carrying no report) as present with zero valuations and no neighbors,
     which keeps the diffusion graph closed without special cases downstream.
-    Raises :class:`InstanceValidationError` listing *all* violations found.
+    Raises :class:`InstanceValidationError` listing *all* violations found,
+    one message per issue.
     """
     if instance.m < 0 or instance.m > MAX_ITEMS:
         raise InstanceValidationError(
-            [ValidationIssue(f"item count {instance.m} outside 0..{MAX_ITEMS}")]
+            [f"item count {instance.m} outside 0..{MAX_ITEMS}"]
         )
-    violations: list[ValidationIssue] = []
+    violations: list[str] = []
     # A ground-truth entry that is the report object itself, as in every
     # generated instance, is walked and checked once.
     walk = [*instance.reports.items(), *(instance.ground_truth or {}).items()]
     checked: set[int] = set()
     for (bid, obj), rep in {(bid, id(rep)): rep for bid, rep in walk}.items():
         if rep.bidder_id != bid:
-            violations.append(ValidationIssue(
-                f"bidder {bid} holds a report for bidder {rep.bidder_id}"
-            ))
+            violations.append(f"bidder {bid} holds a report for bidder {rep.bidder_id}")
         if obj not in checked:
             checked.add(obj)
             _check_report(rep, instance.m, violations)
@@ -366,16 +322,15 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
             true_rep = instance.ground_truth.get(bid)
             true_neighbors = true_rep.neighbors if true_rep else frozenset()
             if not rep.neighbors <= true_neighbors:
-                violations.append(NeighborSupersetOfTruth(bid))
+                violations.append(f"bidder {bid} reports neighbors not present "
+                                  "in the true neighbor set")
     # Bad neighbor ids are reported by _check_report under their inviter.
     for nb in instance.seller_neighbors:
         if not _valid_id(nb):
-            violations.append(UnknownNeighborId(None, nb))
+            violations.append(f"the seller lists invalid neighbor id {nb!r}")
     for bid in dict.fromkeys([*instance.reports, *(instance.ground_truth or ())]):
         if not _valid_id(bid):
-            violations.append(
-                ValidationIssue(f"bidder id {bid!r} is not a positive integer")
-            )
+            violations.append(f"bidder id {bid!r} is not a positive integer")
     if violations:
         raise InstanceValidationError(violations)
 

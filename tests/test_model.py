@@ -12,11 +12,8 @@ from netauction.model import (
     AuctionInstance,
     BidderReport,
     InstanceValidationError,
-    NonMonotoneValuation,
     Outcome,
-    SelfLoop,
     UnknownBidder,
-    UnknownNeighborId,
     Valuation,
     bundle_from_items,
     bundle_items,
@@ -147,13 +144,15 @@ def test_non_monotone_rejected():
     v = Valuation(2, (0, 5, 0, 3))  # {1} worth 5 but {1,2} worth 3
     with pytest.raises(InstanceValidationError) as err:
         build_instance(2, {1}, {1: set()}, {1: v})
-    assert any(isinstance(x, NonMonotoneValuation) for x in err.value.violations)
+    assert err.value.violations == [
+        "bidder 1: value of {1} exceeds value of superset {1,2}"
+    ]
 
 
 def test_self_loop_rejected():
     with pytest.raises(InstanceValidationError) as err:
         build_instance(1, {4}, {4: {4}})
-    assert any(isinstance(x, SelfLoop) and x.bidder == 4 for x in err.value.violations)
+    assert "bidder 4 lists itself as a neighbor" in err.value.violations
 
 
 def test_nonzero_empty_bundle_rejected():
@@ -162,16 +161,17 @@ def test_nonzero_empty_bundle_rejected():
 
 
 def test_all_violations_reported_together():
+    self_loop = "bidder 1 lists itself as a neighbor"
+    non_monotone = "bidder 1: value of {} exceeds value of superset {1}"
     for bad_v, expected in (
         # nonzero empty bundle and non-monotone
-        (Valuation(1, (1, 0)), {"NonMonotoneValuation", "EmptyBundleValue"}),
+        (Valuation(1, (1, 0)), "bidder 1: empty bundle valued at 1, must be 0"),
         # negative value, so below the empty bundle too
-        (Valuation(1, (0, -2)), {"NonMonotoneValuation", "NegativeValue"}),
+        (Valuation(1, (0, -2)), "bidder 1: negative value -2 for {1}"),
     ):
         with pytest.raises(InstanceValidationError) as err:
             build_instance(1, {1}, {1: {1}}, {1: bad_v})
-        kinds = {type(x).__name__ for x in err.value.violations}
-        assert {"SelfLoop", *expected} <= kinds
+        assert {self_loop, non_monotone, expected} <= set(err.value.violations)
     assert "bidder 1: negative value -2 for {1}" in str(err.value)
 
 
@@ -189,7 +189,7 @@ def test_report_filed_under_another_bidders_key_rejected():
     ):
         with pytest.raises(InstanceValidationError) as err:
             validate_instance(AuctionInstance(1, frozenset({1}), reports, truth))
-        assert [str(x) for x in err.value.violations] == messages
+        assert err.value.violations == messages
 
 
 def test_truth_entry_that_is_the_report_is_checked_once():
@@ -200,8 +200,8 @@ def test_truth_entry_that_is_the_report_is_checked_once():
             validate_instance(
                 AuctionInstance(1, frozenset({1}), {1: bad}, {1: truth_rep})
             )
-        kinds = [type(x) for x in err.value.violations]
-        assert kinds.count(NonMonotoneValuation) == listed
+        non_monotone = "bidder 1: value of {} exceeds value of superset {1}"
+        assert err.value.violations.count(non_monotone) == listed
 
 
 def test_absent_bidders_materialized_with_zero_reports():
@@ -213,28 +213,26 @@ def test_absent_bidders_materialized_with_zero_reports():
 
 @pytest.mark.parametrize(
     "seller, edges, inviter, bad",
-    [({"x"}, {}, None, "x"), ({1}, {1: {"a"}}, 1, "a"), ({1}, {1: {0}}, 1, 0)],
-    ids=["seller-str", "bidder-str", "bidder-zero"],
+    [({"x"}, {}, None, "x"), ({1}, {1: {"a"}}, 1, "a"), ({1}, {1: {0}}, 1, 0),
+     ({True}, {}, None, True), ({2}, {2: {True}}, 2, True)],
+    ids=["seller-str", "bidder-str", "bidder-zero", "seller-bool", "bidder-bool"],
 )
 def test_invalid_id_reported_once_under_its_inviter(seller, edges, inviter, bad):
     v = Valuation.zero(1)
     reports = {i: BidderReport(i, v, frozenset(nbrs)) for i, nbrs in edges.items()}
     with pytest.raises(InstanceValidationError) as err:
         validate_instance(AuctionInstance(1, frozenset(seller), reports))
-    [issue] = err.value.violations
-    assert isinstance(issue, UnknownNeighborId)
-    assert (issue.bidder, issue.neighbor) == (inviter, bad)
     who = "the seller" if inviter is None else f"bidder {inviter}"
-    assert str(issue) == f"{who} lists invalid neighbor id {bad!r}"
+    assert err.value.violations == [f"{who} lists invalid neighbor id {bad!r}"]
 
 
 def test_invalid_bidder_id_reported_as_such():
-    reports = {0: BidderReport(0, Valuation.zero(1), frozenset())}
-    with pytest.raises(InstanceValidationError) as err:
-        validate_instance(AuctionInstance(1, frozenset(), reports))
-    assert [str(x) for x in err.value.violations] == [
-        "bidder id 0 is not a positive integer"
-    ]
+    # True passes an isinstance(bid, int) test but serializes as JSON true
+    for bid in (0, True):
+        reports = {bid: BidderReport(bid, Valuation.zero(1), frozenset())}
+        with pytest.raises(InstanceValidationError) as err:
+            validate_instance(AuctionInstance(1, frozenset(), reports))
+        assert err.value.violations == [f"bidder id {bid} is not a positive integer"]
 
 
 def test_valuation_must_cover_the_instance_items():
@@ -247,7 +245,7 @@ def test_valuation_must_cover_the_instance_items():
     ):
         with pytest.raises(InstanceValidationError) as err:
             validate_instance(AuctionInstance(2, frozenset({1}), reports, truth))
-        assert [str(x) for x in err.value.violations] == (
+        assert err.value.violations == (
             ["bidder 1: valuation over 1 item(s), not 2"] * listed
         )
 
@@ -255,7 +253,53 @@ def test_valuation_must_cover_the_instance_items():
 def test_item_count_beyond_the_limit_rejected():
     with pytest.raises(InstanceValidationError) as err:
         validate_instance(AuctionInstance(17, frozenset(), {}))
-    assert [str(x) for x in err.value.violations] == ["item count 17 outside 0..16"]
+    assert err.value.violations == ["item count 17 outside 0..16"]
+
+
+def _report(bid, values=(0, 0), neighbors=()):
+    m = len(values).bit_length() - 1
+    return BidderReport(bid, Valuation(m, values), frozenset(neighbors))
+
+
+# One invalid instance per issue validate_instance can raise, and its exact text.
+ISSUE_MESSAGES = [
+    (AuctionInstance(17, frozenset(), {}), ["item count 17 outside 0..16"]),
+    (AuctionInstance(2, frozenset({1}), {1: _report(1)}),
+     ["bidder 1: valuation over 1 item(s), not 2"]),
+    (AuctionInstance(1, frozenset({1}), {1: _report(1, (2, 5))}),
+     ["bidder 1: empty bundle valued at 2, must be 0"]),
+    (AuctionInstance(1, frozenset({1}), {1: _report(1, (0, -2))}),
+     ["bidder 1: negative value -2 for {1}",
+      "bidder 1: value of {} exceeds value of superset {1}"]),
+    (AuctionInstance(2, frozenset({1}), {1: _report(1, (0, 5, 0, 3))}),
+     ["bidder 1: value of {1} exceeds value of superset {1,2}"]),
+    (AuctionInstance(1, frozenset({4}), {4: _report(4, neighbors={4})}),
+     ["bidder 4 lists itself as a neighbor"]),
+    (AuctionInstance(1, frozenset({1}), {1: _report(1, neighbors={"a"})}),
+     ["bidder 1 lists invalid neighbor id 'a'"]),
+    (AuctionInstance(1, frozenset({1}), {1: _report(2)}),
+     ["bidder 1 holds a report for bidder 2"]),
+    (AuctionInstance(1, frozenset({1}), {1: _report(1, neighbors={2})},
+                     {1: _report(1), 2: _report(2)}),
+     ["bidder 1 reports neighbors not present in the true neighbor set"]),
+    (AuctionInstance(1, frozenset({"x"}), {}),
+     ["the seller lists invalid neighbor id 'x'"]),
+    (AuctionInstance(1, frozenset(), {0: _report(0)}),
+     ["bidder id 0 is not a positive integer"]),
+]
+ISSUE_IDS = ["item-count", "valuation-items", "empty-bundle", "negative",
+             "non-monotone", "self-loop", "bidder-invalid-neighbor", "wrong-key",
+             "neighbor-superset", "seller-invalid-neighbor", "invalid-bidder-id"]
+
+
+@pytest.mark.parametrize("instance, messages", ISSUE_MESSAGES, ids=ISSUE_IDS)
+def test_every_issue_has_its_exact_message(instance, messages):
+    with pytest.raises(InstanceValidationError) as err:
+        validate_instance(instance)
+    assert err.value.violations == messages
+    assert str(err.value) == (
+        f"{len(messages)} validation issue(s): " + "; ".join(messages)
+    )
 
 
 def test_reported_neighbors_must_lie_inside_truth():
@@ -294,9 +338,7 @@ def test_planted_monotonicity_violation_always_caught(data):
     else:
         with pytest.raises(InstanceValidationError) as err:
             build_instance(m, {1}, {1: set()}, {1: table})
-        assert any(
-            isinstance(x, NonMonotoneValuation) for x in err.value.violations
-        )
+        assert any(" exceeds value of superset " in x for x in err.value.violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Two invariants the README states, read off the package source: the
-runtime imports only the standard library, and mechanism logic never
-touches floating point."""
+"""Invariants read off the package source: the runtime imports only the
+standard library, mechanism logic never touches floating point (both stated
+in the README), and every exception class the package defines is raised."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -43,3 +44,30 @@ def test_mechanism_logic_has_no_floating_point():
             ):
                 found.append(f"{name}.py:{node.lineno}")
     assert found == []
+
+
+def test_every_exception_class_is_raised():
+    trees = [parsed(path.stem) for path in sorted(PACKAGE.glob("*.py"))]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    defined = []
+    grown = True
+    while grown:
+        grown = False
+        for node in classes:
+            bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+            if node.name not in errors and bases & errors:
+                errors.add(node.name)
+                defined.append(node.name)
+                grown = True
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert "AuctionError" in defined
+    assert [name for name in defined if name not in raised] == []
