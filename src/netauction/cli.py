@@ -156,8 +156,7 @@ def _run_verify(prop: str, scale: str) -> CheckResult:
 
 def _cmd_verify(args) -> int:
     if args.property == "epi4nw":
-        family = [gen.embedded_branch_fixture(), gen.two_round_showcase()]
-        witness = find_epi4nw_witness(_drm_fn, family)
+        witness = find_epi4nw_witness(_drm_fn, [gen.embedded_branch_fixture()])
         if witness is None:
             print("epi4nw: NO WITNESS in the searched family")
             return EXIT_VIOLATION

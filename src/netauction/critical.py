@@ -3,10 +3,10 @@
 A bidder ``c`` is a critical diffusion node of bidder ``i`` when every
 invitation chain from the seller to ``i`` passes through ``c`` (``i`` counts
 as critical for itself).  These are exactly the dominators of ``i`` with the
-seller as source, so the production path computes every bidder's dominator
-set as an iterative fixpoint; the removal-reachability definition is kept as
-an independent oracle (:func:`critical_nodes_by_removal`) and is the
-normative semantics.
+seller as source, so every bidder's dominator set is computed here as an
+iterative fixpoint.  The removal-reachability definition is the normative
+semantics; the tests keep it as an independent oracle
+(``critical_nodes_by_removal`` in ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import AuctionError, AuctionInstance, qualified_set
+from .model import AuctionError, AuctionInstance
 
 
 class Unqualified(AuctionError):
@@ -107,29 +107,3 @@ def _structure(
         MappingProxyType({i: frozenset(s) for i, s in children.items()}),
     )
 
-
-def critical_nodes_by_removal(instance: AuctionInstance, i: int) -> frozenset[int]:
-    """Oracle form: ``i`` plus every node whose removal cuts ``i`` off.
-
-    Recomputes seller-reachability once per removed candidate; independent of
-    the dominator path above by construction.
-    """
-    qualified = qualified_set(instance)
-    if i not in qualified:
-        raise Unqualified(i)
-    out = {i}
-    for c in qualified:
-        if c == i:
-            continue
-        reached: set[int] = set()
-        stack = [j for j in instance.seller_neighbors if j in instance.reports and j != c]
-        reached.update(stack)
-        while stack:
-            cur = stack.pop()
-            for nb in instance.reports[cur].neighbors:
-                if nb != c and nb not in reached and nb in instance.reports:
-                    reached.add(nb)
-                    stack.append(nb)
-        if i not in reached:
-            out.add(c)
-    return frozenset(out)

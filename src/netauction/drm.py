@@ -189,8 +189,7 @@ def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outc
     allocation = {i: 0 for i in instance.reports}
     if result.winner is not None:
         allocation[result.winner] = full_bundle(instance.m)
-    payment = {i: result.payments.get(i, 0) for i in instance.reports}
-    return Outcome(allocation, payment)
+    return Outcome(allocation, dict(result.payments))
 
 
 def baseline_direct_second_price(

@@ -1,4 +1,5 @@
-"""Seeded instance families, exhaustive network enumerations, and fixtures.
+"""Seeded instance families, exhaustive network enumerations, and the
+branch-market hand fixtures.
 
 Everything here is deterministic given its seed, so generated corpora can be
 regenerated byte-for-byte.
@@ -265,11 +266,6 @@ def all_undirected_networks(
 # ---------------------------------------------------------------------------
 
 
-def line_market_fixture() -> AuctionInstance:
-    """Three bidders on a chain valuing the item at 3, 5, 10."""
-    return scalar_market("line", (3, 5, 10))
-
-
 def _branch_market(
     seller: Iterable[int], head: Mapping[int, tuple[Iterable[int], int]]
 ) -> AuctionInstance:
@@ -296,42 +292,6 @@ def embedded_branch_fixture() -> AuctionInstance:
     """The branch market hanging off a single dealer (bidder 6) so the whole
     resale pipeline reproduces it as a local market; one item."""
     return _branch_market({6}, {6: ({1, 4}, 1)})
-
-
-def two_round_showcase() -> AuctionInstance:
-    """Eleven bidders, two items; built so a run takes exactly two rounds
-    with a singleton candidate set in the second, two bidders never reached,
-    and one item returning to the pool after a failed resale."""
-    m = 2
-    # table layout: (empty, item 1, item 2, both)
-    seller = frozenset({1, 2, 3, 4})
-    out = {
-        1: frozenset({5, 9}),
-        2: frozenset({7}),
-        3: frozenset(),
-        4: frozenset(),
-        5: frozenset({6}),
-        6: frozenset({8}),
-        7: frozenset({6}),
-        8: frozenset(),
-        9: frozenset(),
-        10: frozenset(),
-        11: frozenset(),
-    }
-    tables = {
-        1: Valuation.zero(m),
-        2: Valuation(m, (0, 4, 0, 4)),
-        3: Valuation(m, (0, 3, 9, 11)),
-        4: Valuation(m, (0, 3, 7, 11)),
-        5: Valuation(m, (0, 0, 6, 6)),
-        6: Valuation(m, (0, 0, 2, 2)),
-        7: Valuation(m, (0, 5, 0, 5)),
-        8: Valuation(m, (0, 0, 1, 1)),
-        9: Valuation.zero(m),
-        10: Valuation.zero(m),
-        11: Valuation.zero(m),
-    }
-    return instance_from_parts(m, seller, out, tables)
 
 
 def topology_family(

@@ -4,7 +4,10 @@ Every checker enumerates a deviation space (exhaustively when it fits a
 budget, by seeded sampling otherwise, and always saying which) and returns
 counterexamples.  IR, IC, WBB and EPI4NW witnesses replay: re-running the
 mechanism on the stored instance, context, and deviation reproduces the
-stored delta exactly.  CDC, RDM and RC have no replay rule yet.
+stored delta exactly.  CDC, RDM and RC have no replay rule yet.  RDM is
+checked in its bundle-division form (:func:`check_bdp_locality`); the
+end-to-end utility form is a test reference (``check_rdm_end_to_end`` in
+``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def _others_contexts(
     contexts: list[tuple[BidderReport, ...]] = [()]
     if space.others_budget <= 0:
         return contexts
-    truth = instance.ground_truth or {}
+    truth = instance.ground_truth
     others = [b for b in sorted(truth) if b != bidder]
     tables = monotone_tables(instance.m, space.v_max)
     for _ in range(space.others_budget):
@@ -407,39 +410,6 @@ def check_bdp_locality(bdp: Bdp, instances: Iterable[AuctionInstance]) -> CheckR
                         Violation(
                             "RDM", inst, i, rep.with_neighbors(sub), 0,
                             note="bundle tuples moved with a neighbor report",
-                        )
-                    )
-    return result
-
-
-def check_rdm_end_to_end(
-    mechanism: MechanismFn, instances: Iterable[AuctionInstance]
-) -> CheckResult:
-    """Literal utility form of resale diffusion monotonicity: a first-round
-    candidate of the exploration split has true utility non-decreasing in
-    her invitation report.  Checked end to end through the whole mechanism."""
-    result = CheckResult("RDM", "exhaustive")
-    for inst in instances:
-        result.instances += 1
-        truthful = inst.truthful()
-        if not inst.seller_neighbors:
-            continue
-        candidates = graph_exploration_cdp(truthful).candidates
-        for i in candidates:
-            true_rep = truthful.reports[i]
-            subs, pairs = _subset_lattice(true_rep.neighbors)
-            utilities = []
-            for sub in subs:
-                outcome = mechanism(truthful.with_report(true_rep.with_neighbors(sub)))
-                result.cases += 1
-                utilities.append(utility(true_rep, outcome, i))
-            for lo, hi in pairs:
-                if utilities[lo] > utilities[hi]:
-                    result.violations.append(
-                        Violation(
-                            "RDM", inst, i, true_rep.with_neighbors(subs[lo]),
-                            utilities[lo] - utilities[hi],
-                            note="utility fell as the invitation report grew",
                         )
                     )
     return result

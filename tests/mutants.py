@@ -1,8 +1,9 @@
 """Deliberately broken mechanisms and processes.
 
-Each one plants exactly the defect its matching checker exists to catch;
-the mutation tests assert the checkers flag them.  The one sound process
-here, :func:`trivial_cdp`, is the simplest split the candidacy rules allow.
+Each one plants exactly the defect its matching checker or metamorphic
+relation exists to catch; the mutation tests assert the checkers and
+relations flag them.  The one sound process here, :func:`trivial_cdp`, is
+the simplest split the candidacy rules allow.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
     for i in qualified_set(instance):
         if outcome.allocation.get(i, 0) == 0:
             payment[i] = -1
+    return Outcome(outcome.allocation, payment)
+
+
+def halving_second_price(instance: AuctionInstance) -> Outcome:
+    """Second price over all qualified bidders, halved with floor division:
+    the payment is not linear in the values, so multiplying every value by
+    ``k`` does not multiply every payment by ``k``."""
+    outcome = qualified_second_price(instance)
+    payment = {i: p // 2 for i, p in outcome.payment.items()}
     return Outcome(outcome.allocation, payment)
 
 

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from netauction.critical import all_critical_structures, critical_nodes_by_removal
+from netauction.critical import all_critical_structures
 from netauction.drm import (
     graph_exploration_cdp,
     greedy_bdp,
@@ -36,7 +36,6 @@ from netauction.generate import (
     branch_market_fixture,
     embedded_branch_fixture,
     generate_instances,
-    line_market_fixture,
     topology_family,
 )
 from netauction.idm import idm_run
@@ -55,6 +54,7 @@ from netauction.properties import (
 )
 
 import mutants
+from reference import critical_nodes_by_removal, line_market_fixture
 from test_model import build_instance
 from test_properties import locality_trap_instance
 

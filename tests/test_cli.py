@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from netauction.cli import build_parser, main
 from netauction.drm import MECHANISMS
-from netauction.generate import embedded_branch_fixture, two_round_showcase
+from netauction.generate import embedded_branch_fixture
 from netauction.instance_io import save_instance
 from netauction.model import MechanismConfig, bundle_str, social_welfare
 
+from reference import two_round_showcase
 from test_io import MALFORMED, MALFORMED_IDS
 
 

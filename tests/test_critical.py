@@ -5,17 +5,12 @@ import random
 import pytest
 
 from netauction import critical
-from netauction.critical import (
-    Unqualified,
-    all_critical_structures,
-    critical_nodes_by_removal,
-)
+from netauction.critical import Unqualified, all_critical_structures
 from netauction.drm import run_with_config_detailed
 from netauction.generate import (
     FamilySpec,
     embedded_branch_fixture,
     generate_instances,
-    two_round_showcase,
 )
 from netauction.model import (
     AuctionInstance,
@@ -26,6 +21,7 @@ from netauction.model import (
     restrict_instance,
 )
 
+from reference import critical_nodes_by_removal, two_round_showcase
 from test_model import build_instance
 
 

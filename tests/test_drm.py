@@ -22,7 +22,6 @@ from netauction.generate import (
     embedded_branch_fixture,
     generate_instances,
     instance_from_parts,
-    two_round_showcase,
 )
 from netauction.model import (
     AuctionInstance,
@@ -34,6 +33,7 @@ from netauction.model import (
 )
 
 import mutants
+from reference import two_round_showcase
 from test_model import build_instance
 
 

@@ -22,8 +22,6 @@ from netauction.generate import (
     FamilySpec,
     embedded_branch_fixture,
     generate_instances,
-    line_market_fixture,
-    two_round_showcase,
 )
 from netauction.idm import idm_run
 from netauction.model import (
@@ -37,6 +35,7 @@ from netauction.model import (
 )
 
 import mutants
+from reference import line_market_fixture, two_round_showcase
 from test_model import build_instance
 
 

@@ -23,7 +23,6 @@ from netauction.generate import (
     generate_instances,
     scalar_market,
     topology_family,
-    two_round_showcase,
 )
 from netauction.idm import idm_run
 from netauction.model import MechanismConfig
@@ -33,10 +32,11 @@ from netauction.properties import (
     check_cdp_consistency,
     check_ic,
     check_ir,
-    check_rdm_end_to_end,
     check_revenue_consistency,
     check_wbb,
 )
+
+from reference import check_rdm_end_to_end, two_round_showcase
 
 GOLDEN = "55d5a2a05c465f75973d63110dc1ed05f0bd39926fefc937d8bcc387aee02434"
 

@@ -2,10 +2,11 @@
 
 import random
 
-from netauction.generate import branch_market_fixture, line_market_fixture, scalar_market
+from netauction.generate import branch_market_fixture, scalar_market
 from netauction.idm import idm_run
 from netauction.model import qualified_set
 
+from reference import line_market_fixture
 from test_critical import random_instance
 
 

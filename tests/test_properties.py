@@ -29,7 +29,6 @@ from netauction.generate import (
     monotone_tables,
     scalar_market,
     topology_family,
-    two_round_showcase,
 )
 from netauction.idm import idm_run
 from netauction.model import (
@@ -49,7 +48,6 @@ from netauction.properties import (
     check_cdp_consistency,
     check_ic,
     check_ir,
-    check_rdm_end_to_end,
     check_revenue_consistency,
     check_wbb,
     find_epi4nw_witness,
@@ -57,6 +55,7 @@ from netauction.properties import (
 )
 
 import mutants
+from reference import check_rdm_end_to_end, two_round_showcase
 from test_model import build_instance
 
 
