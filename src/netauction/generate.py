@@ -133,8 +133,8 @@ def instance_from_parts(
 def scalar_market(
     kind: str, values: tuple[int, ...], *, m: int = 1
 ) -> AuctionInstance:
-    """A topology instance whose bidders value the full lot at the given
-    scalars (additively spread over items when ``m > 1``)."""
+    """A topology instance whose bidders value the full lot of ``m`` items
+    at the given scalars and every smaller bundle at 0 (all-or-nothing)."""
     n = len(values)
     seller, out = TOPOLOGIES[kind](n)
     tables = {

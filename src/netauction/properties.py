@@ -2,9 +2,10 @@
 
 Every checker enumerates a deviation space (exhaustively when it fits a
 budget, by seeded sampling otherwise, and always saying which) and returns
-counterexamples.  IR, IC, WBB and EPI4NW witnesses replay: re-running the
-mechanism on the stored instance, context, and deviation reproduces the
-stored delta exactly.  CDC, RDM and RC have no replay rule yet.  RDM is
+counterexamples.  IR, IC, RC, WBB and EPI4NW witnesses replay: re-running
+the mechanism (for RC, the local single-item one) on the stored instance,
+context and deviation reproduces the stored delta.  CDC and RDM witnesses
+compare two reports and store delta 0, so they have no replay rule.  RDM is
 checked in its bundle-division form (:func:`check_bdp_locality`); the
 end-to-end utility form is a test reference (``check_rdm_end_to_end`` in
 ``tests/reference.py``).
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .drm import graph_exploration_cdp, sell_grand_bundle
 from .framework import (
@@ -139,38 +140,27 @@ def _subset_lattice(
     return subs, pairs
 
 
-def _unilateral_deviations(
-    truth: BidderReport, m: int, space: DeviationSpace, rng: random.Random
+def _deviations(
+    truth: BidderReport,
+    tables: Sequence[Valuation],
+    space: DeviationSpace,
+    rng: random.Random,
 ) -> tuple[list[BidderReport], bool]:
-    """All (table, neighbor subset) misreports for one bidder, or a seeded
-    sample when the full grid exceeds the budget."""
-    tables = monotone_tables(m, space.v_max)
+    """Every (table, neighbor subset) report for one bidder, tables-major, or
+    ``space.budget`` seeded draws when that grid exceeds the budget.  A draw
+    picks a table only when there is more than one to pick from."""
     subsets = all_subsets(truth.neighbors)
-    total = len(tables) * len(subsets)
-    if total <= space.budget:
-        return (
-            [
-                BidderReport(truth.bidder_id, tbl, sub)
-                for tbl in tables
-                for sub in subsets
-            ],
-            False,
-        )
+    if len(tables) * len(subsets) <= space.budget:
+        grid = itertools.product(tables, subsets)
+        return [BidderReport(truth.bidder_id, tbl, sub) for tbl, sub in grid], False
     out = [
-        BidderReport(truth.bidder_id, rng.choice(tables), rng.choice(subsets))
+        BidderReport(
+            truth.bidder_id,
+            rng.choice(tables) if len(tables) > 1 else tables[0],
+            rng.choice(subsets),
+        )
         for _ in range(space.budget)
     ]
-    return out, True
-
-
-def _neighbor_deviations(
-    truth: BidderReport, space: DeviationSpace, rng: random.Random
-) -> tuple[list[BidderReport], bool]:
-    """Truthful-valuation misreports: every subset of the true neighbors."""
-    subsets = all_subsets(truth.neighbors)
-    if len(subsets) <= space.budget:
-        return [truth.with_neighbors(sub) for sub in subsets], False
-    out = [truth.with_neighbors(rng.choice(subsets)) for _ in range(space.budget)]
     return out, True
 
 
@@ -222,10 +212,8 @@ def _deviation_cases(
         truthful = inst.truthful()
         for i in sorted(qualified_set(truthful)):
             true_rep = truthful.reports[i]
-            if ic:
-                devs, clipped = _unilateral_deviations(true_rep, inst.m, space, rng)
-            else:
-                devs, clipped = _neighbor_deviations(true_rep, space, rng)
+            tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.valuation,)
+            devs, clipped = _deviations(true_rep, tables, space, rng)
             result.budget_exceeded |= clipped
             for ctx in _others_contexts(inst, i, space, rng):
                 base = _with_reports(truthful, ctx)
@@ -446,7 +434,8 @@ def check_revenue_consistency(
             true_value = true_rep.valuation.values[grand]
             if base.utility(i, true_value) <= 0:
                 continue
-            devs, clipped = _unilateral_deviations(true_rep, market.m, space, rng)
+            tables = monotone_tables(market.m, space.v_max)
+            devs, clipped = _deviations(true_rep, tables, space, rng)
             result.budget_exceeded |= clipped
             for dev in devs:
                 dev_inst = truthful.with_report(dev)
@@ -475,20 +464,24 @@ def check_revenue_consistency(
 # ---------------------------------------------------------------------------
 
 
-def replay_violation(mechanism: MechanismFn, violation: Violation) -> Money:
-    """Recompute the stored delta from scratch; soundness means equality."""
-    if violation.prop == "IR":
-        outcome = mechanism(violation.deviated_instance())
-        true_rep = violation.base_instance().reports[violation.bidder]
-        return utility(true_rep, outcome, violation.bidder)
-    if violation.prop == "IC":
+def replay_violation(
+    mechanism: MechanismFn | SingleItemMech, violation: Violation
+) -> Money:
+    """Recompute the stored delta from scratch; soundness means equality.
+    An RC witness replays on the local single-item mechanism it was found
+    with."""
+    prop, i = violation.prop, violation.bidder
+    if prop in ("IR", "IC"):
         base = violation.base_instance()
-        true_rep = base.reports[violation.bidder]
-        u_truth = utility(true_rep, mechanism(base), violation.bidder)
-        u_dev = utility(true_rep, mechanism(violation.deviated_instance()), violation.bidder)
-        return u_dev - u_truth
-    if violation.prop == "WBB":
+        true_rep = base.reports[i]
+        bar = utility(true_rep, mechanism(base), i) if prop == "IC" else 0
+        return utility(true_rep, mechanism(violation.deviated_instance()), i) - bar
+    if prop == "RC":
+        base = sell_grand_bundle(violation.base_instance(), mechanism)
+        deviated = sell_grand_bundle(violation.deviated_instance(), mechanism)
+        return deviated.revenue - base.revenue
+    if prop == "WBB":
         return mechanism(violation.instance).seller_revenue
-    if violation.prop == "EPI4NW":
-        return mechanism(violation.instance).payment[violation.bidder]
-    raise ValueError(f"no replay rule for {violation.prop}")
+    if prop == "EPI4NW":
+        return mechanism(violation.instance).payment[i]
+    raise ValueError(f"no replay rule for {prop}")

@@ -8,6 +8,7 @@ the simplest split the candidacy rules allow.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import replace
 from typing import Callable, Mapping, Sequence
@@ -20,21 +21,25 @@ from netauction.model import (
     Money,
     Outcome,
     full_bundle,
+    iter_subbundles,
     qualified_set,
 )
 
 
-def qualified_second_price(instance: AuctionInstance) -> Outcome:
+def qualified_second_price(
+    instance: AuctionInstance, tie: Callable[[int], object] = lambda i: i
+) -> Outcome:
     """Second price over all qualified bidders, no invitation rewards.
     Hiding a stronger invitee lets a weak bidder win cheap, so truthful
-    invitation is not dominant."""
+    invitation is not dominant.  Equal top values go to the lowest ``tie``
+    key, by default the lowest id."""
     grand = full_bundle(instance.m)
     reachable = sorted(qualified_set(instance))
     allocation = {i: 0 for i in instance.reports}
     payment = {i: 0 for i in instance.reports}
     if reachable:
         values = {i: instance.reports[i].valuation.values[grand] for i in reachable}
-        winner = min(reachable, key=lambda i: (-values[i], i))
+        winner = min(reachable, key=lambda i: (-values[i], tie(i)))
         rest = sorted((values[i] for i in reachable if i != winner), reverse=True)
         allocation[winner] = grand
         payment[winner] = rest[0] if rest else 0
@@ -69,6 +74,13 @@ def halving_second_price(instance: AuctionInstance) -> Outcome:
     outcome = qualified_second_price(instance)
     payment = {i: p // 2 for i, p in outcome.payment.items()}
     return Outcome(outcome.allocation, payment)
+
+
+def parity_tied_second_price(instance: AuctionInstance) -> Outcome:
+    """Second price whose ties go to even ids first: the winner depends on
+    id parity, not on id order alone, so a relabelling that keeps the order
+    but changes the parity moves the item."""
+    return qualified_second_price(instance, tie=lambda i: (i % 2, i))
 
 
 def trivial_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
@@ -143,21 +155,17 @@ def outside_invited_cdp(residual_instance: AuctionInstance) -> DistributorPartit
     return DistributorPartition(part.candidates, part.non_trading - named)
 
 
-def degree_ordered_greedy_bdp(
+def _greedy_division(
     residual_instance: AuctionInstance,
     remaining: int,
     candidates: Sequence[int],
     pr,
     rev,
+    order: Sequence[int],
+    beats: Callable[[Money, Money], bool],
 ) -> tuple[BundleTuple, ...]:
-    """Greedy division but serving candidates by reported degree: a
-    candidate's own invitation report moves her place in the queue."""
-    from netauction.model import iter_subbundles
-
-    order = sorted(
-        candidates,
-        key=lambda i: (-len(residual_instance.reports[i].neighbors), i),
-    )
+    """Greedy division serving candidates in ``order``, where a sub-bundle
+    replaces the best so far when ``beats(score, best score)``."""
     tuples: dict[int, BundleTuple] = {}
     pool = remaining
     for cand in order:
@@ -167,13 +175,47 @@ def degree_ordered_greedy_bdp(
         for b in iter_subbundles(pool):
             resale_score = max(value[b], rev(b)) - pr(b)
             reserve_score = value[b] - pr(b)
-            if resale_score > best_resale_score:
+            if beats(resale_score, best_resale_score):
                 best_resale, best_resale_score = b, resale_score
-            if reserve_score > best_reserve_score:
+            if beats(reserve_score, best_reserve_score):
                 best_reserve, best_reserve_score = b, reserve_score
         tuples[cand] = BundleTuple(best_resale, best_reserve)
         pool &= ~(best_resale | best_reserve)
     return tuple(tuples[c] for c in candidates)
+
+
+def degree_ordered_greedy_bdp(
+    residual_instance: AuctionInstance,
+    remaining: int,
+    candidates: Sequence[int],
+    pr,
+    rev,
+) -> tuple[BundleTuple, ...]:
+    """Greedy division but serving candidates by reported degree: a
+    candidate's own invitation report moves her place in the queue."""
+    order = sorted(
+        candidates,
+        key=lambda i: (-len(residual_instance.reports[i].neighbors), i),
+    )
+    return _greedy_division(
+        residual_instance, remaining, candidates, pr, rev, order, operator.gt
+    )
+
+
+def last_max_greedy_bdp(
+    residual_instance: AuctionInstance,
+    remaining: int,
+    candidates: Sequence[int],
+    pr,
+    rev,
+) -> tuple[BundleTuple, ...]:
+    """Greedy division that keeps the last maximum on ties: a larger bundle
+    with the same score wins, so an item nobody values is handed out with
+    the rest."""
+    return _greedy_division(
+        residual_instance, remaining, candidates, pr, rev, sorted(candidates),
+        operator.ge,
+    )
 
 
 def leaky_idm(

@@ -8,14 +8,19 @@ known without a second implementation, then compares the two runs:
   reported values, ties break by id only);
 * an uninvited bidder: a bidder nobody invites, who invites existing
   bidders herself, gets nothing, pays nothing and changes nobody's outcome
-  (only bidders the seller's invitations reach take part).
+  (only bidders the seller's invitations reach take part);
+* relabelling: renaming the bidders by an increasing map renames the
+  outcome and changes nothing else (ties break by id order only);
+* a worthless item: an extra item that adds nothing to any bundle's value
+  changes no winner and no payment (the greedy division prefers fewer
+  items, so it never hands that item out).
 
 A planted mutant shows each relation failing.
 """
 
 import pytest
 
-from netauction.drm import MECHANISMS, greedy_bdp
+from netauction.drm import MECHANISMS, graph_exploration_cdp, greedy_bdp
 from netauction.framework import dcaf_run_detailed
 from netauction.generate import (
     FamilySpec,
@@ -87,6 +92,44 @@ def uninvited_holds(mechanism, instance):
     )
 
 
+def relabelling_holds(mechanism, instance, relabel):
+    """``relabel`` is an increasing map from ids to ids."""
+    reports = instance.reports.values()
+    renamed = instance_from_parts(
+        instance.m,
+        map(relabel, instance.seller_neighbors),
+        {relabel(r.bidder_id): map(relabel, r.neighbors) for r in reports},
+        {relabel(r.bidder_id): r.valuation for r in reports},
+    )
+    base, out = mechanism(instance), mechanism(renamed)
+    return out.allocation == {
+        relabel(i): b for i, b in base.allocation.items()
+    } and out.payment == {relabel(i): p for i, p in base.payment.items()}
+
+
+def winners(outcome):
+    return {i for i, bundle in outcome.allocation.items() if bundle}
+
+
+def worthless_item_holds(mechanism, instance, lot_sold_whole):
+    """A new last item: each table over ``m + 1`` items repeats the old one,
+    so a bundle is worth what it is worth without the new item.  A
+    mechanism that sells the whole lot hands the new item to its winner
+    too, so only winners and payments are compared there."""
+    m = instance.m
+    grown = instance_from_parts(
+        m + 1,
+        instance.seller_neighbors,
+        {i: rep.neighbors for i, rep in instance.reports.items()},
+        {i: Valuation(m + 1, rep.valuation.values * 2)
+         for i, rep in instance.reports.items()},
+    )
+    base, out = mechanism(instance), mechanism(grown)
+    if lot_sold_whole:
+        return winners(out) == winners(base) and out.payment == base.payment
+    return out.allocation == base.allocation and out.payment == base.payment
+
+
 def registered(name):
     return lambda instance: MECHANISMS[name](instance, CONFIG)
 
@@ -120,3 +163,57 @@ def test_split_counting_unreached_invitations_breaks_the_uninvited_bidder():
 
     assert not all(uninvited_holds(mechanism, inst) for inst in CORPUS)
     assert all(scaling_holds(mechanism, inst, 2) for inst in CORPUS)
+
+
+# b -> 2b + 1 makes every id odd, so it changes the parity of the even ids;
+# b -> 3b + 4 keeps every parity.
+RELABELS = {"2b+1": lambda b: 2 * b + 1, "3b+4": lambda b: 3 * b + 4}
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+@pytest.mark.parametrize("relabel", sorted(RELABELS))
+def test_relabelling_renames_the_outcome_only(name, relabel):
+    mechanism = registered(name)
+    assert [n for n, inst in enumerate(CORPUS)
+            if not relabelling_holds(mechanism, inst, RELABELS[relabel])] == []
+
+
+def test_parity_tie_break_breaks_relabelling():
+    mechanism = mutants.parity_tied_second_price
+    assert not all(relabelling_holds(mechanism, inst, RELABELS["2b+1"])
+                   for inst in CORPUS)
+    assert all(relabelling_holds(mechanism, inst, RELABELS["3b+4"])
+               for inst in CORPUS)
+    assert all(scaling_holds(mechanism, inst, 2) for inst in CORPUS)
+    assert all(uninvited_holds(mechanism, inst) for inst in CORPUS)
+
+
+# drm-random-bdp is exempt: its division hands each candidate an item drawn
+# by position from the remaining pool, so a bigger pool moves every draw
+# and the worthless item itself can be drawn.
+WORTHLESS_ITEM_MECHANISMS = sorted(set(MECHANISMS) - {"drm-random-bdp"})
+LOT_SOLD_WHOLE = {"idm", "baseline-direct"}
+
+
+@pytest.mark.parametrize("name", WORTHLESS_ITEM_MECHANISMS)
+def test_worthless_item_changes_nothing(name):
+    mechanism = registered(name)
+    whole = name in LOT_SOLD_WHOLE
+    assert [n for n, inst in enumerate(CORPUS)
+            if not worthless_item_holds(mechanism, inst, whole)] == []
+
+
+def test_random_division_is_exempt_from_the_worthless_item():
+    mechanism = registered("drm-random-bdp")
+    assert not all(worthless_item_holds(mechanism, inst, False) for inst in CORPUS)
+
+
+def test_greedy_division_keeping_the_last_maximum_breaks_the_worthless_item():
+    def mechanism(instance):
+        return dcaf_run_detailed(
+            instance, graph_exploration_cdp, mutants.last_max_greedy_bdp, idm_run
+        ).outcome
+
+    assert not all(worthless_item_holds(mechanism, inst, False) for inst in CORPUS)
+    assert all(scaling_holds(mechanism, inst, 2) for inst in CORPUS)
+    assert all(uninvited_holds(mechanism, inst) for inst in CORPUS)

@@ -43,6 +43,7 @@ from netauction.properties import (
     CheckResult,
     DeviationSpace,
     Violation,
+    _deviations,
     _subset_lattice,
     check_bdp_locality,
     check_cdp_consistency,
@@ -87,6 +88,108 @@ def test_monotone_table_counts():
     for table in monotone_tables(2, 3):
         assert table.monotonicity_violation() is None
         assert table.values[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Deviation enumeration: one enumerator keeps both former streams
+# ---------------------------------------------------------------------------
+
+
+def reference_unilateral_deviations(truth, m, space, rng):
+    """The enumerator IC and RC used before IR shared it."""
+    tables = monotone_tables(m, space.v_max)
+    subsets = all_subsets(truth.neighbors)
+    total = len(tables) * len(subsets)
+    if total <= space.budget:
+        return (
+            [
+                BidderReport(truth.bidder_id, tbl, sub)
+                for tbl in tables
+                for sub in subsets
+            ],
+            False,
+        )
+    out = [
+        BidderReport(truth.bidder_id, rng.choice(tables), rng.choice(subsets))
+        for _ in range(space.budget)
+    ]
+    return out, True
+
+
+def reference_neighbor_deviations(truth, space, rng):
+    """The enumerator IR used before it shared IC's: the true table only."""
+    subsets = all_subsets(truth.neighbors)
+    if len(subsets) <= space.budget:
+        return [truth.with_neighbors(sub) for sub in subsets], False
+    out = [truth.with_neighbors(rng.choice(subsets)) for _ in range(space.budget)]
+    return out, True
+
+
+def stream(enumerate_deviations, seed):
+    """The deviations, the clipped flag and the generator's state after."""
+    rng = random.Random(seed)
+    devs, clipped = enumerate_deviations(rng)
+    return devs, clipped, rng.getstate()
+
+
+# Two item counts, neighbor sets of 0..6 ids, budgets from the whole grid
+# down to one draw (so both the exhaustive and the sampled path run) and
+# two seeds.
+STREAM_TRUTHS = [
+    BidderReport(1, Valuation.from_pairs(m, {(1 << m) - 1: 2}), frozenset(range(2, k)))
+    for m in (1, 2)
+    for k in (2, 3, 5, 8)
+]
+STREAM_CASES = list(itertools.product(STREAM_TRUTHS, [4096, 40, 5, 1], (0, 11)))
+
+
+@pytest.mark.parametrize("v_max", [1, 2, 3])
+def test_deviations_keep_the_ic_and_rc_stream(v_max):
+    clipped_flags = set()
+    for truth, budget, seed in STREAM_CASES:
+        space = DeviationSpace(v_max=v_max, budget=budget)
+        tables = monotone_tables(truth.valuation.m, v_max)
+        merged = stream(lambda rng: _deviations(truth, tables, space, rng), seed)
+        assert merged == stream(
+            lambda rng: reference_unilateral_deviations(
+                truth, truth.valuation.m, space, rng
+            ),
+            seed,
+        )
+        clipped_flags.add(merged[1])
+    assert clipped_flags == {False, True}
+
+
+def test_deviations_keep_the_ir_stream():
+    clipped_flags = set()
+    for truth, budget, seed in STREAM_CASES:
+        space = DeviationSpace(budget=budget)
+        tables = (truth.valuation,)
+        merged = stream(lambda rng: _deviations(truth, tables, space, rng), seed)
+        assert merged == stream(
+            lambda rng: reference_neighbor_deviations(truth, space, rng), seed
+        )
+        clipped_flags.add(merged[1])
+    assert clipped_flags == {False, True}
+
+
+@pytest.mark.parametrize("m, v_max", [(1, 0), (0, 3)])
+def test_one_table_space_samples_subsets_only(m, v_max):
+    """With a single table (``v_max=0`` or ``m=0``) a sampled draw picks a
+    subset and nothing else, as the IR stream always did; the exhaustive
+    grid is the same either way."""
+    (table,) = monotone_tables(m, v_max)
+    truth = BidderReport(1, table, frozenset(range(2, 8)))
+    for budget in (64, 40):
+        space = DeviationSpace(v_max=v_max, budget=budget)
+        merged = stream(lambda rng: _deviations(truth, (table,), space, rng), 5)
+        assert merged == stream(
+            lambda rng: reference_neighbor_deviations(truth, space, rng), 5
+        )
+        old = stream(
+            lambda rng: reference_unilateral_deviations(truth, m, space, rng), 5
+        )
+        assert (merged == old) == (budget == 64)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +403,7 @@ def test_subsidizing_mechanism_caught_by_wbb():
         assert replay_violation(mutants.subsidizing_mechanism, v) == v.delta
 
 
-@pytest.mark.parametrize("prop", ["CDC", "RDM", "RC"])
+@pytest.mark.parametrize("prop", ["CDC", "RDM"])
 def test_no_replay_rule_for_split_division_or_revenue_witnesses(prop):
     witness = Violation(prop, scalar_market("line", (1, 2)), 1, None, 0)
     with pytest.raises(ValueError, match=f"no replay rule for {prop}"):
@@ -469,6 +572,23 @@ def test_leaky_idm_caught_by_revenue_consistency():
     markets = [branch_market_fixture()]
     result = check_revenue_consistency(mutants.leaky_idm, markets)
     assert not result.ok
+
+
+def test_revenue_witnesses_replay_exactly():
+    result = check_revenue_consistency(mutants.leaky_idm, [branch_market_fixture()])
+    assert result.violations
+    for violation in result.violations:
+        assert replay_violation(mutants.leaky_idm, violation) == violation.delta
+
+
+def test_revenue_consistency_samples_past_the_budget():
+    # The hub's 4 tables times 2**11 invitation subsets exceed 4096.
+    star = scalar_market("star", (3,) + (1,) * 11)
+    result = check_revenue_consistency(idm_run, [star])
+    assert result.summary() == (
+        "RC: ok [sampled] instances=1 cases=4097 violations=0"
+        " (budget exceeded; sampled)"
+    )
 
 
 # ---------------------------------------------------------------------------
