@@ -7,6 +7,10 @@ seller as source, so every bidder's dominator set is computed here as an
 iterative fixpoint.  The removal-reachability definition is the normative
 semantics; the tests keep it as an independent oracle
 (``critical_nodes_by_removal`` in ``tests/reference.py``).
+
+Its walk from the seller is the package's only reachability walk: the
+qualified bidders are the structure's keys, and :func:`check_outcome` reads
+them there.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import AuctionError, AuctionInstance
+from .model import AuctionError, AuctionInstance, Outcome, full_bundle
 
 
 class Unqualified(AuctionError):
@@ -54,6 +58,25 @@ def all_critical_structures(instance: AuctionInstance) -> CriticalStructure:
         instance.seller_neighbors,
         frozenset((b, r.neighbors) for b, r in instance.reports.items()),
     )
+
+
+def check_outcome(instance: AuctionInstance, outcome: Outcome) -> None:
+    """Assert the outcome invariants: disjoint allocations inside the item
+    universe, and unqualified bidders at empty allocation and zero payment.
+    The seller's revenue is derived from the payments, so it needs no check."""
+    union = 0
+    unknown = ~full_bundle(instance.m)
+    for bid, bundle in outcome.allocation.items():
+        if bundle & union:
+            raise AssertionError(f"bidder {bid} overlaps an earlier allocation")
+        if bundle & unknown:
+            raise AssertionError(f"bidder {bid} allocated unknown items")
+        union |= bundle
+    qualified = all_critical_structures(instance).critical_nodes
+    for bid in instance.reports:
+        if bid not in qualified:
+            if outcome.allocation.get(bid, 0) != 0 or outcome.payment.get(bid, 0) != 0:
+                raise AssertionError(f"unqualified bidder {bid} was touched")
 
 
 # A deviation sweep cycles over at most 2**4 neighbor subsets at each of two

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .critical import Unqualified, all_critical_structures
+from .critical import Unqualified, all_critical_structures, check_outcome
 from .idm import SingleItemResult
 from .model import (
     AuctionError,
@@ -29,7 +29,6 @@ from .model import (
     Outcome,
     Valuation,
     bundle_str,
-    check_outcome,
     full_bundle,
     restrict_instance,
 )

@@ -1,6 +1,7 @@
 """Instance files: canonical JSON on disk, validated instances in memory.
 
-The on-disk form lists bundles as sorted item arrays for readability.  A
+The on-disk form lists bundles as sorted item arrays for readability; the
+parser accepts any order but rejects an item listed twice in one bundle.  A
 valuation may list only some bundles; the parser completes each unlisted one
 with the largest completed value one item smaller, which can never introduce
 a monotonicity violation on its own.  Serialization always writes the full
@@ -66,11 +67,17 @@ def _parse_bidders(raw: Any, m: int, section: str) -> dict[int, BidderReport]:
         for item_list_value in valuation:
             try:
                 items, value = item_list_value
-                mask = bundle_from_items(
-                    _require_int(k, f"bidder {bid}: 'valuation' item") for k in items
-                )
+                what = f"bidder {bid}: 'valuation' item"
+                listed = [_require_int(k, what) for k in items]
+                mask = bundle_from_items(listed)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bidder {bid}: bad valuation entry: {exc}") from None
+            if len(listed) != bin(mask).count("1"):
+                # Items lie in 1..16, so a repeat shows within the first 17.
+                repeated = next(k for i, k in enumerate(listed) if k in listed[:i])
+                raise ParseError(
+                    f"bidder {bid}: item {repeated} repeated in bundle {items}"
+                )
             if mask >= 1 << m:
                 raise ParseError(f"bidder {bid}: bundle {items} has items beyond 1..{m}")
             _require_int(value, f"bidder {bid}: 'valuation' value")

@@ -14,7 +14,6 @@ the seller take part in any trade.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -348,20 +347,6 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     return AuctionInstance(instance.m, instance.seller_neighbors, reports, truth)
 
 
-def qualified_set(instance: AuctionInstance) -> frozenset[int]:
-    """Bidders reachable from the seller along reported invitation edges."""
-    seen: set[int] = set()
-    queue = deque(i for i in instance.seller_neighbors if i in instance.reports)
-    seen.update(queue)
-    while queue:
-        cur = queue.popleft()
-        for nb in instance.reports[cur].neighbors:
-            if nb not in seen and nb in instance.reports:
-                seen.add(nb)
-                queue.append(nb)
-    return frozenset(seen)
-
-
 def utility(true_type: BidderReport, outcome: Outcome, bidder: int) -> Money:
     """True value of the allocated bundle minus the payment."""
     if bidder not in outcome.allocation or bidder not in outcome.payment:
@@ -388,25 +373,6 @@ def restrict_instance(
         if bid in kept
     }
     return AuctionInstance(instance.m, frontier, reports, None)
-
-
-def check_outcome(instance: AuctionInstance, outcome: Outcome) -> None:
-    """Assert the outcome invariants: disjoint allocations inside the item
-    universe, and unqualified bidders at empty allocation and zero payment.
-    The seller's revenue is derived from the payments, so it needs no check."""
-    union = 0
-    unknown = ~full_bundle(instance.m)
-    for bid, bundle in outcome.allocation.items():
-        if bundle & union:
-            raise AssertionError(f"bidder {bid} overlaps an earlier allocation")
-        if bundle & unknown:
-            raise AssertionError(f"bidder {bid} allocated unknown items")
-        union |= bundle
-    qualified = qualified_set(instance)
-    for bid in instance.reports:
-        if bid not in qualified:
-            if outcome.allocation.get(bid, 0) != 0 or outcome.payment.get(bid, 0) != 0:
-                raise AssertionError(f"unqualified bidder {bid} was touched")
 
 
 def social_welfare(instance: AuctionInstance, outcome: Outcome) -> Money:

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from .critical import all_critical_structures
 from .drm import graph_exploration_cdp, sell_grand_bundle
 from .framework import (
     Bdp,
@@ -33,7 +34,6 @@ from .model import (
     Outcome,
     Valuation,
     full_bundle,
-    qualified_set,
     utility,
 )
 
@@ -59,7 +59,9 @@ class DeviationSpace:
 
 @dataclass(frozen=True)
 class Violation:
-    """One replayable counterexample."""
+    """One counterexample.  IR, IC, RC, WBB and EPI4NW witnesses replay
+    through :func:`replay_violation`; CDC and RDM witnesses compare two
+    reports, store delta 0 and have no replay rule."""
 
     prop: str
     instance: AuctionInstance
@@ -210,7 +212,7 @@ def _deviation_cases(
     for inst in instances:
         result.instances += 1
         truthful = inst.truthful()
-        for i in sorted(qualified_set(truthful)):
+        for i in all_critical_structures(truthful).critical_nodes:
             true_rep = truthful.reports[i]
             tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.valuation,)
             devs, clipped = _deviations(true_rep, tables, space, rng)
@@ -429,7 +431,7 @@ def check_revenue_consistency(
         base = sell_grand_bundle(truthful, single_item_mech)
         base_revenue = base.revenue
         result.cases += 1
-        for i in sorted(qualified_set(truthful)):
+        for i in all_critical_structures(truthful).critical_nodes:
             true_rep = truthful.reports[i]
             true_value = true_rep.valuation.values[grand]
             if base.utility(i, true_value) <= 0:

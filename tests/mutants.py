@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
+from netauction.critical import all_critical_structures
 from netauction.drm import graph_exploration_cdp
 from netauction.framework import BundleTuple, DistributorPartition
 from netauction.idm import SingleItemResult, idm_run
@@ -22,7 +23,6 @@ from netauction.model import (
     Outcome,
     full_bundle,
     iter_subbundles,
-    qualified_set,
 )
 
 
@@ -34,7 +34,7 @@ def qualified_second_price(
     invitation is not dominant.  Equal top values go to the lowest ``tie``
     key, by default the lowest id."""
     grand = full_bundle(instance.m)
-    reachable = sorted(qualified_set(instance))
+    reachable = list(all_critical_structures(instance).critical_nodes)
     allocation = {i: 0 for i in instance.reports}
     payment = {i: 0 for i in instance.reports}
     if reachable:
@@ -61,7 +61,7 @@ def subsidizing_mechanism(instance: AuctionInstance) -> Outcome:
     """Pays every qualified loser one unit; rewards can exceed intake."""
     outcome = qualified_second_price(instance)
     payment = dict(outcome.payment)
-    for i in qualified_set(instance):
+    for i in all_critical_structures(instance).critical_nodes:
         if outcome.allocation.get(i, 0) == 0:
             payment[i] = -1
     return Outcome(outcome.allocation, payment)

@@ -15,7 +15,7 @@ from typing import Iterable
 from netauction.critical import Unqualified
 from netauction.drm import graph_exploration_cdp
 from netauction.generate import instance_from_parts, scalar_market
-from netauction.model import AuctionInstance, Valuation, qualified_set, utility
+from netauction.model import AuctionInstance, Valuation, utility
 from netauction.properties import (
     CheckResult,
     MechanismFn,
@@ -24,13 +24,26 @@ from netauction.properties import (
 )
 
 
+def closure_oracle(instance: AuctionInstance) -> frozenset[int]:
+    """Independent qualification oracle: iterate set expansion to a fixed
+    point instead of a graph walk."""
+    reached = set(i for i in instance.seller_neighbors if i in instance.reports)
+    while True:
+        grown = set(reached)
+        for i in reached:
+            grown |= set(instance.reports[i].neighbors) & set(instance.reports)
+        if grown == reached:
+            return frozenset(reached)
+        reached = grown
+
+
 def critical_nodes_by_removal(instance: AuctionInstance, i: int) -> frozenset[int]:
     """Oracle form: ``i`` plus every node whose removal cuts ``i`` off.
 
     Recomputes seller-reachability once per removed candidate; independent of
     the dominator path by construction.
     """
-    qualified = qualified_set(instance)
+    qualified = closure_oracle(instance)
     if i not in qualified:
         raise Unqualified(i)
     out = {i}

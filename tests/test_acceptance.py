@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from netauction.critical import all_critical_structures
+from netauction.critical import all_critical_structures, check_outcome
 from netauction.drm import (
     graph_exploration_cdp,
     greedy_bdp,
@@ -39,7 +39,7 @@ from netauction.generate import (
     topology_family,
 )
 from netauction.idm import idm_run
-from netauction.model import MechanismConfig, check_outcome, qualified_set
+from netauction.model import MechanismConfig
 from netauction.properties import (
     DeviationSpace,
     check_bdp_locality,
@@ -98,7 +98,7 @@ def test_criterion_1_critical_node_oracle_equivalence():
         edges = {i: {j for j in ids if j != i and rng.random() < 0.25} for i in ids}
         inst = build_instance(1, seller, edges)
         nodes = all_critical_structures(inst).critical_nodes
-        for i in qualified_set(inst):
+        for i in nodes:
             if set(nodes[i]) != critical_nodes_by_removal(inst, i):
                 mismatches += 1
     ok = mismatches == 0
@@ -114,7 +114,8 @@ def test_criterion_1_critical_node_oracle_equivalence():
 def test_criterion_2_idm_fixtures():
     started = time.perf_counter()
     line = line_market_fixture()
-    values = {i: line.reports[i].valuation.values[1] for i in qualified_set(line)}
+    qualified = all_critical_structures(line).critical_nodes
+    values = {i: line.reports[i].valuation.values[1] for i in qualified}
     result = idm_run(line, values)
     line_ok = (
         result.vstar == {1: 0, 2: 3, 3: 5}
@@ -122,7 +123,8 @@ def test_criterion_2_idm_fixtures():
         and result.revenue == 0
     )
     branch = branch_market_fixture()
-    values = {i: branch.reports[i].valuation.values[1] for i in qualified_set(branch)}
+    qualified = all_critical_structures(branch).critical_nodes
+    values = {i: branch.reports[i].valuation.values[1] for i in qualified}
     result = idm_run(branch, values)
     branch_ok = (
         result.winner == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netauction import generate
 from netauction.cli import build_parser, main
 from netauction.drm import MECHANISMS
 from netauction.generate import embedded_branch_fixture
@@ -384,6 +385,39 @@ def test_generate_edge_probability_out_of_range_is_usage_error(tmp_path, capsys)
 def test_verify_epi4nw_finds_witness(capsys):
     assert main(["verify", "--property", "epi4nw"]) == 0
     assert "witness" in capsys.readouterr().out
+
+
+def test_verify_epi4nw_without_a_witness_exits_4(monkeypatch, capsys):
+    # Nobody on this line holds nothing and is paid.
+    monkeypatch.setattr(generate, "embedded_branch_fixture",
+                        lambda: generate.scalar_market("line", (1, 2)))
+    assert main(["verify", "--property", "epi4nw"]) == 4
+    assert capsys.readouterr().out == "epi4nw: NO WITNESS in the searched family\n"
+
+
+@pytest.mark.parametrize("scale, families", [
+    ("tiny", [("digraph", 1), ("digraph", 2), ("digraph", 3)]),
+    ("small", [("digraph", 1), ("digraph", 2), ("digraph", 3), ("digraph", 4),
+               ("undirected", 5)]),
+], ids=["tiny", "small"])
+def test_verify_cdc_scale_picks_the_network_families(monkeypatch, capsys, scale,
+                                                     families):
+    # The real small sweep takes many seconds; each stub yields one network.
+    asked = []
+
+    def stub(kind):
+        def networks(n):
+            asked.append((kind, n))
+            return [(frozenset({1}), {1: frozenset()})]
+        return networks
+
+    monkeypatch.setattr(generate, "all_digraph_networks", stub("digraph"))
+    monkeypatch.setattr(generate, "all_undirected_networks", stub("undirected"))
+    assert main(["verify", "--property", "cdc", "--scale", scale]) == 0
+    assert asked == families
+    assert capsys.readouterr().out.startswith(
+        f"CDC: ok [exhaustive] instances={len(families)} "
+    )
 
 
 @pytest.mark.parametrize("prop, summary", [

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netauction import critical
-from netauction.critical import Unqualified, all_critical_structures
+from netauction.critical import Unqualified, all_critical_structures, check_outcome
 from netauction.drm import run_with_config_detailed
 from netauction.generate import (
     FamilySpec,
@@ -16,12 +18,12 @@ from netauction.model import (
     AuctionInstance,
     BidderReport,
     MechanismConfig,
+    Outcome,
     Valuation,
-    qualified_set,
     restrict_instance,
 )
 
-from reference import critical_nodes_by_removal, two_round_showcase
+from reference import closure_oracle, critical_nodes_by_removal, two_round_showcase
 from test_model import build_instance
 
 
@@ -111,7 +113,8 @@ def test_oracle_equivalence_on_random_digraphs():
     corpus += [sparse_instance(rng, rng.randint(20, 40)) for _ in range(30)]
     for inst in corpus:
         nodes = all_critical_structures(inst).critical_nodes
-        for i in qualified_set(inst):
+        assert set(nodes) == closure_oracle(inst)
+        for i in nodes:
             assert set(nodes[i]) == critical_nodes_by_removal(inst, i)
 
 
@@ -120,7 +123,7 @@ def test_sequence_order_matches_pairwise_membership():
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 8))
         nodes = all_critical_structures(inst).critical_nodes
-        for i in qualified_set(inst):
+        for i in nodes:
             seq = nodes[i]
             assert seq[-1] == i
             for earlier_pos, earlier in enumerate(seq):
@@ -133,7 +136,7 @@ def test_children_duality_and_nesting():
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 8))
         structure = all_critical_structures(inst)
-        reachable = qualified_set(inst)
+        reachable = structure.critical_nodes
         for i in reachable:
             for j in reachable:
                 assert (j in structure.critical_children[i]) == (
@@ -153,14 +156,14 @@ def test_restriction_idempotence():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(2, 8))
         structure = all_critical_structures(inst)
-        for i in qualified_set(inst):
+        for i in structure.critical_children:
             reach = structure.critical_children[i]
             sub = restrict_instance(inst, reach, {i})
             assert all_critical_structures(sub).critical_children[i] == reach
 
 
 def assert_matches_oracle(inst, structure):
-    reachable = qualified_set(inst)
+    reachable = closure_oracle(inst)
     assert set(structure.critical_nodes) == reachable
     assert set(structure.critical_children) == reachable
     oracle = {i: critical_nodes_by_removal(inst, i) for i in reachable}
@@ -189,6 +192,29 @@ def test_structure_depends_on_the_invitation_graph_alone():
     dangling = AuctionInstance(base.m, base.seller_neighbors | {98}, reports)
     for variant in (reordered, revalued, dangling):
         assert all_critical_structures(variant) == structure
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_raw_instances_qualify_by_the_structure(data):
+    """The engine and ``check_outcome`` take unvalidated instances, whose
+    seller invitations and neighbor sets may name ids that have no report:
+    the structure's keys still match the oracle, and ``check_outcome`` still
+    rejects paying a reporting bidder the seller cannot reach."""
+    ids = st.integers(1, 8)
+    reporting = data.draw(st.frozensets(ids, max_size=6))
+    seller = data.draw(st.frozensets(ids, max_size=4))
+    reports = {
+        i: BidderReport(i, Valuation.zero(1), data.draw(st.frozensets(ids, max_size=4)))
+        for i in sorted(reporting)
+    }
+    inst = AuctionInstance(1, seller, reports)
+    qualified = closure_oracle(inst)
+    assert set(all_critical_structures(inst).critical_nodes) == qualified
+    check_outcome(inst, Outcome({}, dict.fromkeys(qualified, 1)))
+    for bid in sorted(reporting - qualified):
+        with pytest.raises(AssertionError, match=f"unqualified bidder {bid} was touched"):
+            check_outcome(inst, Outcome({}, {bid: 1}))
 
 
 def test_returned_mappings_are_read_only():

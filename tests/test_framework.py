@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netauction.critical import Unqualified, all_critical_structures
+from netauction.critical import Unqualified, all_critical_structures, check_outcome
 from netauction.drm import graph_exploration_cdp, greedy_bdp
 from netauction.framework import (
     BundleTuple,
@@ -30,7 +30,6 @@ from netauction.model import (
     Outcome,
     Valuation,
     bundle_from_items,
-    check_outcome,
     full_bundle,
 )
 

@@ -2,18 +2,17 @@
 
 import random
 
+from netauction.critical import all_critical_structures
 from netauction.generate import branch_market_fixture, scalar_market
 from netauction.idm import idm_run
-from netauction.model import qualified_set
 
 from reference import line_market_fixture
 from test_critical import random_instance
 
 
 def values_of(instance):
-    return {
-        i: instance.reports[i].valuation.values[1] for i in qualified_set(instance)
-    }
+    qualified = all_critical_structures(instance).critical_nodes
+    return {i: instance.reports[i].valuation.values[1] for i in qualified}
 
 
 def test_line_fixture():
@@ -61,7 +60,7 @@ def test_revenue_identity_and_signs_on_random_markets():
     rng = random.Random(3)
     for _ in range(300):
         inst = random_instance(rng, rng.randint(1, 9))
-        reachable = qualified_set(inst)
+        reachable = all_critical_structures(inst).critical_nodes
         if not reachable:
             continue
         values = {i: rng.randint(0, 6) for i in reachable}

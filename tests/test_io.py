@@ -4,13 +4,14 @@ import re
 
 import pytest
 
+from netauction.critical import all_critical_structures
 from netauction.generate import FamilySpec, generate_instances
 from netauction.instance_io import (
     ParseError,
     parse_instance,
     serialize_instance,
 )
-from netauction.model import InstanceValidationError, qualified_set
+from netauction.model import InstanceValidationError
 
 
 MINIMAL = """
@@ -28,7 +29,7 @@ MINIMAL = """
 def test_minimal_file():
     inst = parse_instance(MINIMAL)
     assert inst.m == 1
-    assert qualified_set(inst) == {1}
+    assert set(all_critical_structures(inst).critical_nodes) == {1}
     assert inst.reports[1].valuation.values[1] == 5
 
 
@@ -46,6 +47,11 @@ def test_duplicate_bidder_id_rejected():
 MALFORMED = [
     ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
      ' "valuation": [[[1], 2], [[1], 3]]}]}', "bidder 1: bundle listed twice"),
+    ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[1, 1], 2]]}]}', "bidder 1: item 1 repeated in bundle [1, 1]"),
+    ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[1, 1], 2], [[1], 3]]}]}',
+     "bidder 1: item 1 repeated in bundle [1, 1]"),
     ("[1]", "top level must be an object"),
     ('{"schema_version": 2, "m": 1, "seller_neighbors": []}',
      "unsupported schema version 2"),
@@ -56,8 +62,8 @@ MALFORMED = [
     ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
      ' "valuation": [[[17], 2]]}]}', "bidder 1: bad valuation entry: item 17 outside 1..16"),
 ]
-MALFORMED_IDS = ["bundle-twice", "not-object", "schema-version", "no-m", "no-seller",
-                 "item-0", "item-17"]
+MALFORMED_IDS = ["bundle-twice", "item-twice", "item-twice-then-bundle", "not-object",
+                 "schema-version", "no-m", "no-seller", "item-0", "item-17"]
 
 
 @pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)
@@ -91,6 +97,14 @@ def test_listed_non_monotone_value_still_rejected():
     """
     with pytest.raises(InstanceValidationError):
         parse_instance(text)
+
+
+def test_unsorted_item_list_accepted():
+    text = """
+    {"m": 2, "seller_neighbors": [1],
+     "bidders": [{"id": 1, "neighbors": [], "valuation": [[[2, 1], 4]]}]}
+    """
+    assert parse_instance(text).reports[1].valuation.values == (0, 0, 0, 4)
 
 
 def test_full_table_listing_accepted():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netauction.critical import all_critical_structures
 from netauction.model import (
     AuctionInstance,
     BidderReport,
@@ -19,11 +20,12 @@ from netauction.model import (
     bundle_items,
     full_bundle,
     iter_subbundles,
-    qualified_set,
     restrict_instance,
     utility,
     validate_instance,
 )
+
+from reference import closure_oracle
 
 
 def build_instance(m, seller, edges, tables=None):
@@ -33,19 +35,6 @@ def build_instance(m, seller, edges, tables=None):
         for i, nbrs in edges.items()
     }
     return validate_instance(AuctionInstance(m, frozenset(seller), reports))
-
-
-def closure_oracle(instance):
-    """Independent qualification oracle: iterate set expansion to a fixed
-    point instead of a BFS queue."""
-    reached = set(i for i in instance.seller_neighbors if i in instance.reports)
-    while True:
-        grown = set(reached)
-        for i in reached:
-            grown |= set(instance.reports[i].neighbors) & set(instance.reports)
-        if grown == reached:
-            return frozenset(reached)
-        reached = grown
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +337,20 @@ def test_planted_monotonicity_violation_always_caught(data):
 
 def test_qualified_line():
     inst = build_instance(1, {1}, {1: {2}, 2: {3}, 3: set()})
-    assert qualified_set(inst) == {1, 2, 3}
+    assert set(all_critical_structures(inst).critical_nodes) == {1, 2, 3}
 
 
 def test_qualified_excludes_disconnected():
     inst = build_instance(1, {1}, {1: set(), 2: {3}, 3: set()})
-    assert qualified_set(inst) == {1}
+    assert set(all_critical_structures(inst).critical_nodes) == {1}
 
 
 def test_qualified_branch_matches_oracle():
     inst = build_instance(
         1, {1, 4}, {1: {2, 5}, 2: {3}, 3: set(), 4: set(), 5: set()}
     )
-    assert qualified_set(inst) == {1, 2, 3, 4, 5}
-    assert qualified_set(inst) == closure_oracle(inst)
+    qualified = set(all_critical_structures(inst).critical_nodes)
+    assert qualified == closure_oracle(inst) == {1, 2, 3, 4, 5}
 
 
 @given(st.data())
@@ -381,7 +370,7 @@ def test_qualified_equals_closure_oracle_on_random_digraphs(data):
     }
     edges = {i: frozenset(j for j in nbrs if j != i and j <= n) for i, nbrs in edges.items()}
     inst = build_instance(1, {s for s in seller if s <= n}, edges)
-    assert qualified_set(inst) == closure_oracle(inst)
+    assert set(all_critical_structures(inst).critical_nodes) == closure_oracle(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +416,14 @@ def test_restrict_to_empty():
     inst = build_instance(1, {1}, {1: {2}, 2: set()})
     sub = restrict_instance(inst, (), ())
     assert sub.reports == {}
-    assert qualified_set(sub) == frozenset()
+    assert set(all_critical_structures(sub).critical_nodes) == set()
 
 
 def test_restrict_single_candidate():
     inst = build_instance(1, {1}, {1: {2}, 2: {3}, 3: set(), 6: set()})
     sub = restrict_instance(inst, {6}, {6})
     assert set(sub.reports) == {6}
-    assert qualified_set(sub) == {6}
+    assert set(all_critical_structures(sub).critical_nodes) == {6}
 
 
 def test_restrict_rejects_a_frontier_outside_the_kept_set():

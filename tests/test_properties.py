@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from netauction.critical import all_critical_structures
 from netauction.drm import (
     baseline_direct_second_price,
     graph_exploration_cdp,
@@ -36,7 +37,6 @@ from netauction.model import (
     BidderReport,
     MechanismConfig,
     Valuation,
-    qualified_set,
     utility,
 )
 from netauction.properties import (
@@ -617,7 +617,7 @@ def test_generate_all_models():
 
 def test_generate_zero_bidders():
     family = generate_instances(FamilySpec(n=0, m=1, v_max=3, count=2, seed=1))
-    assert all(qualified_set(inst) == frozenset() for inst in family)
+    assert all(not all_critical_structures(inst).critical_nodes for inst in family)
 
 
 def test_generate_bad_spec():
@@ -635,7 +635,7 @@ def test_tree_families_reach_everyone():
     for inst in generate_instances(
         FamilySpec(n=7, m=1, v_max=3, count=20, seed=13)
     ):
-        assert qualified_set(inst) == frozenset(range(1, 8))
+        assert set(all_critical_structures(inst).critical_nodes) == set(range(1, 8))
 
 
 def test_violations_with_sampled_contexts_replay_exactly():
