@@ -48,41 +48,43 @@ def _require_int(value: Any, what: str) -> int:
 def _parse_bidders(raw: Any, m: int, section: str) -> dict[int, BidderReport]:
     if not isinstance(raw, list):
         raise ParseError(f"{section!r} must be a list")
+    # Entries under 'truth' say so; messages for 'bidders' name the bidder alone.
+    who = "bidder" if section == "bidders" else f"{section} bidder"
     reports: dict[int, BidderReport] = {}
     for entry in raw:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"every {section} entry needs an 'id'")
-        bid = _require_int(entry["id"], "bidder id")
+        bid = _require_int(entry["id"], f"{who} id")
         if bid in reports:
-            raise ParseError(f"duplicate bidder id {bid}")
+            raise ParseError(f"duplicate {who} id {bid}")
         neighbors = entry.get("neighbors", [])
         if not isinstance(neighbors, list):
-            raise ParseError(f"bidder {bid}: 'neighbors' must be a list")
+            raise ParseError(f"{who} {bid}: 'neighbors' must be a list")
         for nb in neighbors:
-            _require_int(nb, f"bidder {bid}: 'neighbors' entry")
+            _require_int(nb, f"{who} {bid}: 'neighbors' entry")
         valuation = entry.get("valuation", [])
         if not isinstance(valuation, list):
-            raise ParseError(f"bidder {bid}: 'valuation' must be a list")
+            raise ParseError(f"{who} {bid}: 'valuation' must be a list")
         pairs: dict[Bundle, int] = {}
         for item_list_value in valuation:
             try:
                 items, value = item_list_value
-                what = f"bidder {bid}: 'valuation' item"
+                what = f"{who} {bid}: 'valuation' item"
                 listed = [_require_int(k, what) for k in items]
                 mask = bundle_from_items(listed)
             except (TypeError, ValueError) as exc:
-                raise ParseError(f"bidder {bid}: bad valuation entry: {exc}") from None
+                raise ParseError(f"{who} {bid}: bad valuation entry: {exc}") from None
             if len(listed) != bin(mask).count("1"):
                 # Items lie in 1..16, so a repeat shows within the first 17.
                 repeated = next(k for i, k in enumerate(listed) if k in listed[:i])
                 raise ParseError(
-                    f"bidder {bid}: item {repeated} repeated in bundle {items}"
+                    f"{who} {bid}: item {repeated} repeated in bundle {items}"
                 )
             if mask >= 1 << m:
-                raise ParseError(f"bidder {bid}: bundle {items} has items beyond 1..{m}")
-            _require_int(value, f"bidder {bid}: 'valuation' value")
+                raise ParseError(f"{who} {bid}: bundle {items} has items beyond 1..{m}")
+            _require_int(value, f"{who} {bid}: 'valuation' value")
             if mask in pairs:
-                raise ParseError(f"bidder {bid}: bundle listed twice")
+                raise ParseError(f"{who} {bid}: bundle listed twice")
             pairs[mask] = value
         reports[bid] = BidderReport(
             bid, Valuation.from_pairs(m, pairs), frozenset(neighbors)

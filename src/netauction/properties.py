@@ -28,11 +28,13 @@ from .framework import (
 )
 from .generate import all_subsets, instance_from_parts, monotone_tables
 from .model import (
+    AuctionError,
     AuctionInstance,
     BidderReport,
     Money,
     Outcome,
     Valuation,
+    bundle_str,
     full_bundle,
     utility,
 )
@@ -192,6 +194,69 @@ def _others_contexts(
 # ---------------------------------------------------------------------------
 
 
+class _ReadLog:
+    """A deviator's valuation table that logs every ``values[b]`` read with
+    an int key, in first-read order.  ``len`` is free; any other access sets
+    ``whole``, since the run may then have read the whole table."""
+
+    __slots__ = ("values", "reads", "whole")
+
+    def __init__(self, values: tuple[Money, ...]):
+        self.values, self.reads, self.whole = values, {}, False
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, bundle):
+        if type(bundle) is int:
+            return self.reads.setdefault(bundle, self.values[bundle])
+        return self.__getattr__("__getitem__")(bundle)
+
+    def __getattr__(self, name: str):
+        self.whole = True
+        return getattr(self.values, name)
+
+
+for _name in ("__iter__", "__contains__", "__hash__", "__eq__", "__ne__", "__lt__",
+              "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__", "__repr__"):
+    # Special methods bypass __getattr__, so each one is routed through it.
+    setattr(_ReadLog, _name, lambda self, *a, _name=_name: self.__getattr__(_name)(*a))
+
+
+def _memo_run(
+    mechanism: MechanismFn, base: AuctionInstance, dev: BidderReport, memo: dict
+) -> Outcome:
+    """``mechanism(base.with_report(dev))``, answered from ``memo`` when it
+    can be.  ``memo`` maps a neighbor subset to a trie node: ``[bundle read
+    next, {value found there: child}]``, or ``[None, outcome]`` at a leaf.
+    A miss runs once on a :class:`_ReadLog` and, unless the run read the
+    table whole, files its reads as a new branch."""
+    values = dev.valuation.values
+    node = memo.get(dev.neighbors)
+    while node is not None and node[0] is not None:
+        node = node[1].get(values[node[0]])
+    if node is not None:
+        return node[1]
+    log = _ReadLog(values)
+    logged = BidderReport(dev.bidder_id, Valuation(dev.valuation.m, log), dev.neighbors)
+    outcome = mechanism(base.with_report(logged))
+    if log.whole:
+        return outcome
+    level, key = memo, dev.neighbors
+    for bundle, value in (*log.reads.items(), (None, None)):
+        node = level.setdefault(key, [bundle, {} if bundle is not None else outcome])
+        if node[0] != bundle:
+            one, other = ("nothing" if b is None else f"bundle {bundle_str(b)}"
+                          for b in (bundle, node[0]))
+            raise AuctionError(
+                f"mechanism is not deterministic: two runs for bidder {dev.bidder_id} "
+                f"agreed on every value read, then one read {one} next and the "
+                f"other {other}"
+            )
+        level, key = node[1], value
+    return outcome
+
+
 def _deviation_cases(
     prop: str,
     mechanism: MechanismFn,
@@ -204,7 +269,15 @@ def _deviation_cases(
 
     IR varies the invitation report only and flags negative utility.  IC
     varies the whole report and flags a strict gain over truth-telling,
-    which costs one more mechanism call (and case) per profile.
+    which costs one more case per profile.
+
+    Under one profile of the others, runs go through a read-set memo
+    (:func:`_memo_run`), the truthful one included.  The mechanism must be a
+    deterministic function of the reports: a deviation with the same
+    neighbor subset as an earlier run, agreeing with it on every
+    ``values[b]`` that run read, reuses its outcome without a call.  A run
+    that touches the deviator's table any other way (iteration, slicing,
+    comparison, hashing, any other attribute) is never reused.
     """
     ic = prop == "IC"
     rng = random.Random(space.seed)
@@ -219,12 +292,13 @@ def _deviation_cases(
             result.budget_exceeded |= clipped
             for ctx in _others_contexts(inst, i, space, rng):
                 base = _with_reports(truthful, ctx)
+                memo: dict = {}
                 bar = 0
                 if ic:
                     result.cases += 1
-                    bar = utility(true_rep, mechanism(base), i)
+                    bar = utility(true_rep, _memo_run(mechanism, base, true_rep, memo), i)
                 for dev in devs:
-                    outcome = mechanism(base.with_report(dev))
+                    outcome = _memo_run(mechanism, base, dev, memo)
                     result.cases += 1
                     delta = utility(true_rep, outcome, i) - bar
                     if (delta > 0) if ic else (delta < 0):

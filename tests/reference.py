@@ -6,21 +6,28 @@ definition; the package computes the same sets as a dominator fixpoint
 independent oracle the tests hold it to.  :func:`check_rdm_end_to_end` is
 the literal utility form of resale diffusion monotonicity, run through the
 whole mechanism; the package's checker tests the bundle-division form.
+:func:`deviation_cases_without_memo` is the IR/IC sweep with one mechanism
+call per case, which the package's read-set memo must agree with.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable
 
-from netauction.critical import Unqualified
+from netauction.critical import Unqualified, all_critical_structures
 from netauction.drm import graph_exploration_cdp
-from netauction.generate import instance_from_parts, scalar_market
+from netauction.generate import instance_from_parts, monotone_tables, scalar_market
 from netauction.model import AuctionInstance, Valuation, utility
 from netauction.properties import (
     CheckResult,
+    DeviationSpace,
     MechanismFn,
     Violation,
+    _deviations,
+    _others_contexts,
     _subset_lattice,
+    _with_reports,
 )
 
 
@@ -94,6 +101,44 @@ def check_rdm_end_to_end(
                             note="utility fell as the invitation report grew",
                         )
                     )
+    return result
+
+
+def deviation_cases_without_memo(
+    prop: str,
+    mechanism: MechanismFn,
+    instances: Iterable[AuctionInstance],
+    space: DeviationSpace,
+) -> CheckResult:
+    """``check_ir`` (``prop="IR"``) or ``check_ic`` (``prop="IC"``) with no
+    memo: every case, the truthful bar included, is one mechanism call."""
+    ic = prop == "IC"
+    rng = random.Random(space.seed)
+    result = CheckResult(prop, "exhaustive")
+    for inst in instances:
+        result.instances += 1
+        truthful = inst.truthful()
+        for i in all_critical_structures(truthful).critical_nodes:
+            true_rep = truthful.reports[i]
+            tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.valuation,)
+            devs, clipped = _deviations(true_rep, tables, space, rng)
+            result.budget_exceeded |= clipped
+            for ctx in _others_contexts(inst, i, space, rng):
+                base = _with_reports(truthful, ctx)
+                bar = 0
+                if ic:
+                    result.cases += 1
+                    bar = utility(true_rep, mechanism(base), i)
+                for dev in devs:
+                    outcome = mechanism(base.with_report(dev))
+                    result.cases += 1
+                    delta = utility(true_rep, outcome, i) - bar
+                    if (delta > 0) if ic else (delta < 0):
+                        result.violations.append(
+                            Violation(prop, inst, i, dev, delta, ctx)
+                        )
+    if result.budget_exceeded or space.others_budget > 0:
+        result.scope = "sampled"
     return result
 
 

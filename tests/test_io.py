@@ -61,9 +61,13 @@ MALFORMED = [
      ' "valuation": [[[0], 2]]}]}', "bidder 1: bad valuation entry: item 0 outside 1..16"),
     ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
      ' "valuation": [[[17], 2]]}]}', "bidder 1: bad valuation entry: item 17 outside 1..16"),
+    ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[1], 2]]}], "truth": [{"id": 1, "neighbors": [],'
+     ' "valuation": [[[1], 2], [[1], 3]]}]}', "truth bidder 1: bundle listed twice"),
 ]
 MALFORMED_IDS = ["bundle-twice", "item-twice", "item-twice-then-bundle", "not-object",
-                 "schema-version", "no-m", "no-seller", "item-0", "item-17"]
+                 "schema-version", "no-m", "no-seller", "item-0", "item-17",
+                 "truth-bundle-twice"]
 
 
 @pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)

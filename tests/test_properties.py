@@ -3,6 +3,7 @@ and every reported counterexample replays exactly."""
 
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 
 from netauction.critical import all_critical_structures
 from netauction.drm import (
+    MECHANISMS,
     baseline_direct_second_price,
     graph_exploration_cdp,
     greedy_bdp,
@@ -33,9 +35,11 @@ from netauction.generate import (
 )
 from netauction.idm import idm_run
 from netauction.model import (
+    AuctionError,
     AuctionInstance,
     BidderReport,
     MechanismConfig,
+    Outcome,
     Valuation,
     utility,
 )
@@ -56,7 +60,11 @@ from netauction.properties import (
 )
 
 import mutants
-from reference import check_rdm_end_to_end, two_round_showcase
+from reference import (
+    check_rdm_end_to_end,
+    deviation_cases_without_memo,
+    two_round_showcase,
+)
 from test_model import build_instance
 
 
@@ -674,3 +682,109 @@ def test_sampled_contexts_depend_on_neighbor_sets_not_insertion_order():
     ir = check_ir(overcharging, [ascending], space)
     assert ir.violations
     assert check_ir(overcharging, [descending], space) == ir
+
+
+# ---------------------------------------------------------------------------
+# Read-set memo: the IR/IC sweep agrees with one mechanism call per case
+# ---------------------------------------------------------------------------
+
+
+def counted(mechanism):
+    """``mechanism`` plus a counter of the calls made to it."""
+    calls = Counter()
+
+    def run(instance):
+        calls["runs"] += 1
+        return mechanism(instance)
+
+    return run, calls
+
+
+def sweep_signature(result):
+    return (
+        result.prop, result.scope, result.instances, result.cases,
+        result.budget_exceeded,
+        [(v.bidder, v.deviation, v.delta, v.context) for v in result.violations],
+    )
+
+
+@pytest.mark.parametrize("others_budget", [0, 2])
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_memo_sweep_matches_one_call_per_case(name, others_budget):
+    # The lab-ic family; imported here, since test_acceptance imports this module.
+    from test_acceptance import _tiny_family
+
+    def mechanism(instance):
+        return MECHANISMS[name](instance, MechanismConfig())
+
+    family = _tiny_family()
+    space = DeviationSpace(v_max=3, others_budget=others_budget)
+    for prop, check in (("IR", check_ir), ("IC", check_ic)):
+        memoized, memo_calls = counted(mechanism)
+        plain, plain_calls = counted(mechanism)
+        result = check(memoized, family, space)
+        reference = deviation_cases_without_memo(prop, plain, family, space)
+        assert sweep_signature(result) == sweep_signature(reference), (name, prop)
+        assert plain_calls["runs"] == reference.cases
+        if name == "drm" and prop == "IC":
+            assert memo_calls["runs"] < plain_calls["runs"]
+
+
+def paying_by(read):
+    """Sells nothing and pays every bidder ``read(her reported table)``, so
+    an outcome depends on the deviator's table only through ``read``."""
+
+    def mechanism(instance):
+        payment = {i: -read(rep.valuation.values) for i, rep in instance.reports.items()}
+        return Outcome(dict.fromkeys(instance.reports, 0), payment)
+
+    return mechanism
+
+
+WHOLE_TABLE_READS = {
+    "iteration": max,
+    "slicing": lambda values: sum(values[1:]),
+    "equality": lambda values: int(values == (0,) * len(values)),
+    "hashing": lambda values: hash(values) % 5,
+}
+
+
+@pytest.mark.parametrize("read", WHOLE_TABLE_READS.values(), ids=WHOLE_TABLE_READS)
+def test_memo_never_reuses_a_run_that_read_the_table_whole(read):
+    memoized, memo_calls = counted(paying_by(read))
+    plain, plain_calls = counted(paying_by(read))
+    result = check_ic(memoized, TINY, SPACE)
+    reference = deviation_cases_without_memo("IC", plain, TINY, SPACE)
+    assert result.violations
+    assert sweep_signature(result) == sweep_signature(reference)
+    assert memo_calls == plain_calls and plain_calls["runs"] == result.cases
+
+
+def read_every_empty_bundle(instance):
+    for rep in instance.reports.values():
+        rep.valuation.values[0]
+    return idm_standalone(instance)
+
+
+def sell_nothing(instance):
+    zero = dict.fromkeys(instance.reports, 0)
+    return Outcome(zero, dict(zero))
+
+
+@pytest.mark.parametrize("other, message", [
+    (read_every_empty_bundle, "one read bundle {1} next and the other bundle {}"),
+    (sell_nothing, "one read nothing next and the other bundle {1}"),
+], ids=["another-bundle", "no-read"])
+def test_memo_rejects_a_mechanism_that_reads_otherwise_on_alternate_calls(other, message):
+    # ``other`` runs on even calls and idm, which reads every table at the
+    # grand bundle {1} first, on odd ones.
+    calls = itertools.count()
+
+    def alternating(instance):
+        return (idm_standalone if next(calls) % 2 else other)(instance)
+
+    with pytest.raises(AuctionError, match=re.escape(
+        "mechanism is not deterministic: two runs for bidder 1 agreed on every "
+        f"value read, then {message}"
+    )):
+        check_ic(alternating, TINY, SPACE)
