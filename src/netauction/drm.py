@@ -1,17 +1,18 @@
 """Concrete mechanism assembly: the dealer retail mechanism and variants.
 
 The dealer retail mechanism ("drm") wires together the graph-exploration
-candidate split, the greedy bundle division, the IDM local resale market, and
-second/first-price bundle pricing over the non-trading set.  Variants swap
-the bundle division for the random single-item one ("drm-random-bdp") or add
-a virtual reserve bid at the resale-revenue level ("drm-reserve").
+candidate split, the greedy bundle division, the IDM local resale market
+(which ignores the resale bar it is handed), and second/first-price bundle
+pricing over the non-trading set.  Variants swap the bundle division for the
+random single-item one ("drm-random-bdp") or the local market for IDM floored
+at the resale bar ("drm-reserve").
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .framework import (
     BoundPrice,
@@ -27,6 +28,7 @@ from .model import (
     AuctionInstance,
     Bundle,
     MechanismConfig,
+    Money,
     Outcome,
     full_bundle,
     iter_subbundles,
@@ -160,6 +162,14 @@ BDPS = {"greedy": greedy_bdp}
 # ---------------------------------------------------------------------------
 
 
+def unfloored_idm(
+    market: AuctionInstance, item_value: Mapping[int, Money], reserve: Money
+) -> SingleItemResult:
+    """Plain IDM as a local market: the reserve it is handed is ignored."""
+    # Looked up per call, not bound at import: bench/tracing.py swaps idm_run.
+    return idm_run(market, item_value)
+
+
 def run_with_config(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     return run_with_config_detailed(instance, config).outcome
 
@@ -169,7 +179,7 @@ def run_with_config_detailed(
 ) -> DcafRun:
     # Looked up per call, not bound at import: bench/tracing.py swaps the entries.
     return dcaf_run_detailed(
-        instance, CDPS["graph-exploration"], BDPS["greedy"], idm_run
+        instance, CDPS["graph-exploration"], BDPS["greedy"], unfloored_idm
     )
 
 
@@ -180,7 +190,7 @@ def sell_grand_bundle(
     mechanism itself finds who qualifies."""
     grand = full_bundle(instance.m)
     values = {i: rep.valuation.values[grand] for i, rep in instance.reports.items()}
-    return single_item_mech(instance, values)
+    return single_item_mech(instance, values, 0)
 
 
 def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
@@ -207,14 +217,13 @@ def _drm_random(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     # One generator per run, shared by its rounds.
     bdp = partial(random_single_item_bdp, rng=random.Random(config.rng_seed))
     return dcaf_run_detailed(
-        instance, CDPS["graph-exploration"], bdp, idm_run
+        instance, CDPS["graph-exploration"], bdp, unfloored_idm
     ).outcome
 
 
 def _drm_reserve(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     return dcaf_run_detailed(
-        instance, CDPS["graph-exploration"], BDPS["greedy"], idm_run,
-        reserve_bidder=True,
+        instance, CDPS["graph-exploration"], BDPS["greedy"], idm_run
     ).outcome
 
 

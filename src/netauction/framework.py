@@ -27,7 +27,6 @@ from .model import (
     Bundle,
     Money,
     Outcome,
-    Valuation,
     bundle_str,
     full_bundle,
     restrict_instance,
@@ -40,7 +39,9 @@ BoundPrice = Callable[[Bundle], Money]
 Cdp = Callable[[AuctionInstance], "DistributorPartition"]
 Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
                tuple["BundleTuple", ...]]
-SingleItemMech = Callable[[AuctionInstance, Mapping[int, Money]], SingleItemResult]
+# A local single-item market: (market, item values, reserve price).  The
+# engine hands it the resale bar as the reserve; a mechanism may ignore it.
+SingleItemMech = Callable[[AuctionInstance, Mapping[int, Money], Money], SingleItemResult]
 
 
 class InvalidTuple(AuctionError):
@@ -177,21 +178,18 @@ def drp_run(
     single_item_mech: SingleItemMech,
     *,
     reach: frozenset[int],
-    reserve_bidder: bool = False,
 ) -> DrpResult:
     """Run one distributor's resale attempt.
 
     ``reach`` is the distributor's subtree in the residual graph's dominator
     tree: she herself plus every bidder only she can reach.  Her invitees in
-    it form a local market where her resale bundle is sold as a single item.
-    If the local proceeds reach the bundle's fixed resale revenue she gets
-    nothing, pays price minus revenue (a non-positive amount: her dealer
-    margin), and the local outcome stands; otherwise the attempt is void and
-    she buys the reserve bundle at its price.  An empty resale bundle or an
-    empty local market skips straight to the reservation branch.
-
-    ``reserve_bidder`` injects a virtual, never-winning bid equal to the
-    resale revenue next to the local seller, flooring the local price.
+    it form a local market where her resale bundle is sold as a single item,
+    with the bundle's fixed resale revenue, the bar, as the local mechanism's
+    reserve price.  If the local proceeds reach the bar she gets nothing,
+    pays price minus revenue (a non-positive amount: her dealer margin), and
+    the local outcome stands; otherwise the attempt is void and she buys the
+    reserve bundle at its price.  An empty resale bundle or an empty local
+    market skips straight to the reservation branch.
     """
     locals_ = reach - {distributor}
     allocation = dict.fromkeys(reach, 0)
@@ -205,27 +203,13 @@ def drp_run(
         item_value = {
             j: residual_instance.reports[j].valuation.values[resale] for j in locals_
         }
-        virtual = None
-        if reserve_bidder:
-            virtual = max(residual_instance.reports, default=0) + 1
-            reports = dict(market.reports)
-            reports[virtual] = BidderReport(
-                virtual, Valuation.zero(market.m), frozenset()
-            )
-            market = AuctionInstance(
-                market.m, market.seller_neighbors | {virtual}, reports
-            )
-            item_value[virtual] = bar
-        result = single_item_mech(market, item_value)
-        if result.winner is not None and result.winner != virtual:
-            if virtual is not None and result.payments.get(virtual, 0) != 0:
-                raise AuctionError("virtual reserve bid must never pay")
-            if result.revenue >= bar:
-                for j in locals_:
-                    payment[j] = result.payments.get(j, 0)
-                allocation[result.winner] = resale
-                payment[distributor] = pr(resale) - bar
-                return DrpResult(allocation, payment, True)
+        result = single_item_mech(market, item_value, bar)
+        if result.winner is not None and result.revenue >= bar:
+            for j in locals_:
+                payment[j] = result.payments.get(j, 0)
+            allocation[result.winner] = resale
+            payment[distributor] = pr(resale) - bar
+            return DrpResult(allocation, payment, True)
 
     reserve = bundle_tuple.reserve
     allocation[distributor] = reserve
@@ -243,8 +227,6 @@ def dcaf_run_detailed(
     cdp: Cdp,
     bdp: Bdp,
     single_item_mech: SingleItemMech,
-    *,
-    reserve_bidder: bool = False,
 ) -> DcafRun:
     """Run the full round loop and keep one :class:`RoundState` per round.
 
@@ -284,8 +266,7 @@ def dcaf_run_detailed(
                 )
             claimed |= reach
             result = drp_run(
-                residual, cand, tup, pr, rev, single_item_mech,
-                reach=reach, reserve_bidder=reserve_bidder,
+                residual, cand, tup, pr, rev, single_item_mech, reach=reach
             )
             for j, b in result.allocation.items():
                 allocation[j] |= b

@@ -1,9 +1,10 @@
 """Single-item diffusion mechanism with invitation rewards (IDM).
 
 The item goes to the first node on the top bidder's critical sequence that
-can match the best offer outside the next node's reach; every node earlier on
-the winner's sequence is paid the increase in outside competition she created
-by inviting, which can make her payment negative (she receives money).
+can match the best offer outside the next node's reach, never less than the
+reserve price; every node earlier on the winner's sequence is paid the
+increase in outside competition she created by inviting, which can make her
+payment negative (she receives money).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .model import AuctionInstance, Money
 class SingleItemResult:
     """Outcome of one local single-item market, and how IDM got there: the
     top bidder's critical sequence and every sequence node's outside offer
-    ``vstar`` (both empty when nobody qualifies).  Two values are derived,
+    ``vstar`` (both empty when there is no sale).  Two values are derived,
     never stored: the top bidder, the last node of her own critical
     sequence, and the revenue, the sum of the payments.
     """
@@ -44,13 +45,17 @@ class SingleItemResult:
 def idm_run(
     local_instance: AuctionInstance,
     item_value: Mapping[int, Money],
+    reserve: Money = 0,
 ) -> SingleItemResult:
-    """Run the mechanism on one market.
+    """Run the mechanism on one market, selling no lower than ``reserve``.
 
     ``item_value`` maps every qualified bidder to her reported value for the
     (single, abstract) item.  The outside offer ``v*`` of a node on the top
     bidder's critical sequence is the best value among all qualified bidders
-    outside that node's reach.
+    outside that node's reach, and never less than ``reserve``.  A top value
+    below ``reserve`` means no sale; one equal to it still sells.  This is
+    IDM with one more seller invitee bidding ``reserve``, who loses every
+    tie and whose win is no sale; at ``reserve=0`` it is plain IDM.
 
     Ties for the top bidder break to the lowest id so runs are reproducible.
     An empty market is a no-sale result, not an error.
@@ -58,20 +63,20 @@ def idm_run(
     structure = all_critical_structures(local_instance)
     qualified = structure.critical_nodes.keys()
     payments = dict.fromkeys(local_instance.reports, 0)
-    if not qualified:
-        return SingleItemResult(None, payments, (), {})
     for i in qualified:
         if i not in item_value:
             raise KeyError(f"no item value for qualified bidder {i}")
+    top = min(qualified, key=lambda i: (-item_value[i], i), default=None)
+    if top is None or item_value[top] < reserve:
+        return SingleItemResult(None, payments, (), {})
 
-    top = min(qualified, key=lambda i: (-item_value[i], i))
     sequence = structure.critical_nodes[top]
     children = structure.critical_children
 
     vstar: dict[int, Money] = {}
     for i in sequence:
         outside = qualified - children[i]
-        vstar[i] = max((item_value[j] for j in outside), default=0)
+        vstar[i] = max([reserve, *[item_value[j] for j in outside]])
 
     winner = top
     for pos, i in enumerate(sequence[:-1]):

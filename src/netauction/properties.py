@@ -271,8 +271,9 @@ def _deviation_cases(
     varies the whole report and flags a strict gain over truth-telling,
     which costs one more case per profile.
 
-    Under one profile of the others, runs go through a read-set memo
-    (:func:`_memo_run`), the truthful one included.  The mechanism must be a
+    Under one profile of the others, IC runs go through a read-set memo
+    (:func:`_memo_run`), the truthful one included; IR runs skip it, since
+    no two IR deviations share a neighbor subset.  The mechanism must be a
     deterministic function of the reports: a deviation with the same
     neighbor subset as an earlier run, agreeing with it on every
     ``values[b]`` that run read, reuses its outcome without a call.  A run
@@ -298,7 +299,8 @@ def _deviation_cases(
                     result.cases += 1
                     bar = utility(true_rep, _memo_run(mechanism, base, true_rep, memo), i)
                 for dev in devs:
-                    outcome = _memo_run(mechanism, base, dev, memo)
+                    outcome = (_memo_run(mechanism, base, dev, memo) if ic
+                               else mechanism(base.with_report(dev)))
                     result.cases += 1
                     delta = utility(true_rep, outcome, i) - bar
                     if (delta > 0) if ic else (delta < 0):

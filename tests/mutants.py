@@ -219,10 +219,11 @@ def last_max_greedy_bdp(
 
 
 def leaky_idm(
-    market: AuctionInstance, item_value: Mapping[int, Money]
+    market: AuctionInstance, item_value: Mapping[int, Money], reserve: Money
 ) -> SingleItemResult:
     """IDM plus a rebate of the first critical node's own bid: the local
-    revenue now moves with a positive-utility loser's report."""
+    revenue now moves with a positive-utility loser's report.  The reserve
+    is ignored."""
     result = idm_run(market, item_value)
     if result.winner is None or not result.critical_sequence:
         return result

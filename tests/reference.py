@@ -8,17 +8,21 @@ the literal utility form of resale diffusion monotonicity, run through the
 whole mechanism; the package's checker tests the bundle-division form.
 :func:`deviation_cases_without_memo` is the IR/IC sweep with one mechanism
 call per case, which the package's read-set memo must agree with.
+:func:`virtual_bidder_idm` is the reserve price written as one more bidder,
+which the reserve floor of :func:`netauction.idm.idm_run` must agree with.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from dataclasses import replace
+from typing import Iterable, Mapping
 
 from netauction.critical import Unqualified, all_critical_structures
 from netauction.drm import graph_exploration_cdp
 from netauction.generate import instance_from_parts, monotone_tables, scalar_market
-from netauction.model import AuctionInstance, Valuation, utility
+from netauction.idm import SingleItemResult, idm_run
+from netauction.model import AuctionInstance, BidderReport, Money, Valuation, utility
 from netauction.properties import (
     CheckResult,
     DeviationSpace,
@@ -140,6 +144,25 @@ def deviation_cases_without_memo(
     if result.budget_exceeded or space.others_budget > 0:
         result.scope = "sampled"
     return result
+
+
+def virtual_bidder_idm(
+    market: AuctionInstance, item_value: Mapping[int, Money], reserve: Money
+) -> SingleItemResult:
+    """Plain IDM with the reserve as a virtual bidder: one more seller
+    invitee who invites nobody, values the item at ``reserve`` and has the
+    highest id, so she loses every tie.  She is stripped from the result,
+    and her win is no sale."""
+    virtual = max(market.reports, default=0) + 1
+    reports = dict(market.reports)
+    reports[virtual] = BidderReport(virtual, Valuation.zero(market.m), frozenset())
+    padded = AuctionInstance(market.m, market.seller_neighbors | {virtual}, reports)
+    result = idm_run(padded, {**item_value, virtual: reserve})
+    payments = {j: p for j, p in result.payments.items() if j != virtual}
+    if result.winner == virtual:
+        return SingleItemResult(None, payments, (), {})
+    assert result.payments[virtual] == 0, "the virtual bidder paid without winning"
+    return replace(result, payments=payments)
 
 
 def line_market_fixture() -> AuctionInstance:

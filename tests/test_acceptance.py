@@ -27,6 +27,7 @@ from netauction.drm import (
     idm_grand_bundle,
     run_with_config,
     run_with_config_detailed,
+    unfloored_idm,
 )
 from netauction.framework import BundleTuple, dcaf_run_detailed
 from netauction.generate import (
@@ -386,7 +387,7 @@ def test_criterion_8_conservation_invariants():
             )
             for inst in family:
                 run = dcaf_run_detailed(
-                    inst, graph_exploration_cdp, greedy_bdp, idm_run
+                    inst, graph_exploration_cdp, greedy_bdp, unfloored_idm
                 )
                 runs += 1
                 try:

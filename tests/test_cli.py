@@ -55,7 +55,7 @@ def test_run_unknown_mechanism_is_usage_error(fixture_file):
 
 
 def test_run_reserve_bidder_flag_is_usage_error(fixture_file):
-    # drm-reserve is the one way to run with the reserve bid
+    # drm-reserve is the one way to run with the reserve floor
     args = ["run", "--mechanism", "drm", "--instance", str(fixture_file)]
     assert main([*args, "--reserve-bidder"]) == 2
 
@@ -182,7 +182,7 @@ def test_run_reserve_mechanism_writes_its_own_outcome(tmp_path, capsys):
             f"seller revenue: {outcome.seller_revenue}",
             f"social welfare: {social_welfare(inst, outcome)}",
         ]
-    assert tables["drm-reserve"] != tables["drm"]  # the reserve bid matters here
+    assert tables["drm-reserve"] != tables["drm"]  # the reserve floor matters here
 
 
 # Each mechanism with the header `run --seed 3` prints for it.

@@ -15,7 +15,7 @@ from netauction.drm import (
     random_single_item_bdp,
     run_with_config,
 )
-from netauction.framework import BundleTuple
+from netauction.framework import BundleTuple, dcaf_run_detailed
 from netauction.generate import (
     FamilySpec,
     all_digraph_networks,
@@ -33,7 +33,7 @@ from netauction.model import (
 )
 
 import mutants
-from reference import two_round_showcase
+from reference import two_round_showcase, virtual_bidder_idm
 from test_model import build_instance
 
 
@@ -308,6 +308,22 @@ def test_drm_variants_run_and_conserve():
         for name in ("drm", "drm-random-bdp", "drm-reserve"):
             outcome = MECHANISMS[name](inst, config)
             assert outcome.seller_revenue >= 0
+
+
+def test_drm_reserve_matches_the_engine_with_a_virtual_bidder():
+    # The golden corpus: drm-reserve plugs IDM floored at the resale bar, and
+    # must run exactly as the engine does with the bar as a virtual bidder.
+    from test_golden import corpus
+
+    config = MechanismConfig()
+    differs = 0
+    for inst in corpus():
+        reference = dcaf_run_detailed(
+            inst, graph_exploration_cdp, greedy_bdp, virtual_bidder_idm
+        ).outcome
+        assert MECHANISMS["drm-reserve"](inst, config) == reference
+        differs += reference != MECHANISMS["drm"](inst, config)
+    assert differs  # the floor matters somewhere in the corpus
 
 
 def test_random_bdp_mechanism_is_seed_deterministic():

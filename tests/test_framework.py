@@ -1,14 +1,13 @@
 """Round engine: pricing, resale process branches, loop invariants."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from netauction.critical import Unqualified, all_critical_structures, check_outcome
-from netauction.drm import graph_exploration_cdp, greedy_bdp
+from netauction.drm import graph_exploration_cdp, greedy_bdp, unfloored_idm
 from netauction.framework import (
     BundleTuple,
     DistributorPartition,
@@ -42,13 +41,12 @@ def engine_outcome(instance, cdp, bdp, single_item_mech):
     return dcaf_run_detailed(instance, cdp, bdp, single_item_mech).outcome
 
 
-def resell(instance, distributor, bundle_tuple, pr, rev, **kwargs):
+def resell(instance, distributor, bundle_tuple, pr, rev, local=unfloored_idm):
     """One resale attempt with the reach the round engine would hand the
-    distributor: her dominator subtree."""
+    distributor: her dominator subtree.  The local market is drm's plain IDM
+    unless ``local`` says otherwise."""
     reach = all_critical_structures(instance).critical_children[distributor]
-    return drp_run(
-        instance, distributor, bundle_tuple, pr, rev, idm_run, reach=reach, **kwargs
-    )
+    return drp_run(instance, distributor, bundle_tuple, pr, rev, local, reach=reach)
 
 
 def tn_reports(values, m=1):
@@ -188,7 +186,7 @@ def test_empty_tuple_is_all_zero():
     assert result.payment == {1: 0, 2: 0, 3: 0}
 
 
-def test_reserve_bidder_floors_the_local_price():
+def test_reserve_floor_lifts_the_local_price():
     # single invitee valuing the item above the fixed resale revenue
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
@@ -198,14 +196,14 @@ def test_reserve_bidder_floors_the_local_price():
     rev = lambda b: 3 if b else 0
     plain = resell(inst, 2, BundleTuple(1, 1), pr, rev)
     assert not plain.resold  # alone, the invitee would pay 0 < 3
-    floored = resell(inst, 2, BundleTuple(1, 1), pr, rev, reserve_bidder=True)
+    floored = resell(inst, 2, BundleTuple(1, 1), pr, rev, local=idm_run)
     assert floored.resold
     assert floored.allocation[7] == 1
     assert floored.payment[7] == 3
     assert floored.payment[2] == 0  # price minus revenue
 
 
-def test_reserve_bidder_reads_the_resale_revenue_once():
+def test_resale_revenue_is_read_once_with_or_without_a_floor():
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
         {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 5))},
@@ -216,21 +214,20 @@ def test_reserve_bidder_reads_the_resale_revenue_once():
         reads.append(b)
         return 3 if b else 0
 
-    for reserve_bidder in (False, True):
+    for local in (unfloored_idm, idm_run):
         reads.clear()
-        resell(inst, 2, BundleTuple(1, 1), lambda b: 3 if b else 0, rev,
-               reserve_bidder=reserve_bidder)
+        resell(inst, 2, BundleTuple(1, 1), lambda b: 3 if b else 0, rev, local)
         assert reads == [1]
 
 
-def test_reserve_bidder_winning_means_no_sale():
+def test_top_value_below_the_reserve_floor_means_no_sale():
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
         {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 2))},
     )
     pr = lambda b: 3 if b else 0
-    rev = lambda b: 5 if b else 0  # nobody real can reach this
-    result = resell(inst, 2, BundleTuple(1, 1), pr, rev, reserve_bidder=True)
+    rev = lambda b: 5 if b else 0  # no local value reaches this floor
+    result = resell(inst, 2, BundleTuple(1, 1), pr, rev, local=idm_run)
     assert not result.resold
     assert result.allocation[2] == 1
     assert result.payment[2] == 3
@@ -243,14 +240,14 @@ def test_reserve_bidder_winning_means_no_sale():
 
 def test_empty_network_empty_outcome():
     inst = build_instance(2, set(), {})
-    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_run)
+    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, unfloored_idm)
     assert outcome.seller_revenue == 0
     assert all(b == 0 for b in outcome.allocation.values())
 
 
 def test_single_neighbor_reserves_at_zero():
     inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
-    outcome = engine_outcome(inst, mutants.trivial_cdp, greedy_bdp, idm_run)
+    outcome = engine_outcome(inst, mutants.trivial_cdp, greedy_bdp, unfloored_idm)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
     assert outcome.seller_revenue == 0
@@ -258,7 +255,7 @@ def test_single_neighbor_reserves_at_zero():
 
 def test_two_round_showcase_structure():
     run = dcaf_run_detailed(
-        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_run
+        two_round_showcase(), graph_exploration_cdp, greedy_bdp, unfloored_idm
     )
     assert len(run.rounds) == 2
     first, second = run.rounds
@@ -282,7 +279,7 @@ def test_two_round_showcase_structure():
 
 def test_two_round_showcase_participants_and_frontier():
     run = dcaf_run_detailed(
-        two_round_showcase(), graph_exploration_cdp, greedy_bdp, idm_run
+        two_round_showcase(), graph_exploration_cdp, greedy_bdp, unfloored_idm
     )
     first, second = run.rounds
     assert first.index == 0
@@ -295,7 +292,7 @@ def test_two_round_showcase_participants_and_frontier():
 
 def test_embedded_branch_reproduces_the_market():
     outcome = engine_outcome(
-        embedded_branch_fixture(), graph_exploration_cdp, greedy_bdp, idm_run
+        embedded_branch_fixture(), graph_exploration_cdp, greedy_bdp, unfloored_idm
     )
     assert outcome.allocation[2] == 1
     assert outcome.payment[2] == 6
@@ -310,7 +307,7 @@ def test_rounds_conserve_everything_on_random_corpus():
         FamilySpec(n=7, m=2, v_max=4, graph_model="erdos-renyi", count=120, seed=32)
     )
     for inst in family:
-        run = dcaf_run_detailed(inst, graph_exploration_cdp, greedy_bdp, idm_run)
+        run = dcaf_run_detailed(inst, graph_exploration_cdp, greedy_bdp, unfloored_idm)
         check_outcome(inst, run.outcome)  # disjointness, untouched
         removed_so_far = set()
         for state in run.rounds:
@@ -349,7 +346,7 @@ def test_overlapping_tuples_rejected():
             ),
             mutants.trivial_cdp,
             clashing_bdp,
-            idm_run,
+            unfloored_idm,
         )
 
 
@@ -380,7 +377,7 @@ def test_unsound_split_or_division_rejected(cdp, bdp, error, message):
         {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
     )
     with pytest.raises(error, match=message):
-        dcaf_run_detailed(inst, cdp, bdp, idm_run)
+        dcaf_run_detailed(inst, cdp, bdp, unfloored_idm)
 
 
 def test_split_that_classifies_nobody_ends_after_one_round():
@@ -389,30 +386,11 @@ def test_split_that_classifies_nobody_ends_after_one_round():
     def idle_cdp(residual):
         return DistributorPartition((), frozenset())
 
-    run = dcaf_run_detailed(line_market_fixture(), idle_cdp, greedy_bdp, idm_run)
+    run = dcaf_run_detailed(line_market_fixture(), idle_cdp, greedy_bdp, unfloored_idm)
     assert len(run.rounds) == 1
     assert run.rounds[0].removed == frozenset()
     assert set(run.outcome.allocation.values()) == {0}
     assert set(run.outcome.payment.values()) == {0}
-
-
-def test_charging_the_virtual_reserve_bid_rejected():
-    inst = build_instance(
-        1, {2}, {2: {7}, 7: set()},
-        {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 5))},
-    )
-
-    def charging_idm(market, item_value):
-        result = idm_run(market, item_value)
-        payments = dict(result.payments)
-        payments[max(market.reports)] = 1  # the virtual bid has the top id
-        return replace(result, payments=payments)
-
-    reach = all_critical_structures(inst).critical_children[2]
-    price = lambda b: 3 if b else 0
-    with pytest.raises(AuctionError, match="virtual reserve bid must never pay"):
-        drp_run(inst, 2, BundleTuple(1, 1), price, price, charging_idm,
-                reach=reach, reserve_bidder=True)
 
 
 def test_idm_rejects_a_missing_item_value():
@@ -430,7 +408,9 @@ def test_wrong_number_of_tuples_rejected(resize):
         return resize(greedy_bdp(*args))
 
     with pytest.raises(InvalidTuple, match="bundle tuples for 2 candidates"):
-        engine_outcome(two_round_showcase(), graph_exploration_cdp, resized_bdp, idm_run)
+        engine_outcome(
+            two_round_showcase(), graph_exploration_cdp, resized_bdp, unfloored_idm
+        )
 
 
 def test_unqualified_bidders_untouched_regardless_of_reports():
@@ -438,7 +418,7 @@ def test_unqualified_bidders_untouched_regardless_of_reports():
         1, {1}, {1: set(), 2: {3}, 3: set()},
         {2: Valuation(1, (0, 9)), 3: Valuation(1, (0, 9))},
     )
-    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, idm_run)
+    outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, unfloored_idm)
     assert outcome.allocation[2] == outcome.allocation[3] == 0
     assert outcome.payment[2] == outcome.payment[3] == 0
 
@@ -455,4 +435,4 @@ def test_unqualified_distributor_rejected():
         return DistributorPartition((2,), frozenset())
 
     with pytest.raises(Unqualified, match="bidder 2 is not reachable from the seller"):
-        dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, idm_run)
+        dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, unfloored_idm)

@@ -1,13 +1,25 @@
-"""Single-item diffusion mechanism: fixtures, identities, sign structure."""
+"""Single-item diffusion mechanism: fixtures, identities, sign structure,
+and the reserve floor against its virtual-bidder reference."""
 
+import itertools
 import random
 
-from netauction.critical import all_critical_structures
-from netauction.generate import branch_market_fixture, scalar_market
-from netauction.idm import idm_run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import line_market_fixture
+from netauction.critical import all_critical_structures
+from netauction.generate import (
+    all_digraph_networks,
+    branch_market_fixture,
+    instance_from_parts,
+    scalar_market,
+)
+from netauction.idm import idm_run
+from netauction.model import Valuation
+
+from reference import line_market_fixture, virtual_bidder_idm
 from test_critical import random_instance
+from test_model import build_instance
 
 
 def values_of(instance):
@@ -85,3 +97,65 @@ def test_revenue_identity_and_signs_on_random_markets():
         for i in result.payments:
             if i not in seq[: win_pos + 1]:
                 assert result.payments[i] == 0
+
+
+# ---------------------------------------------------------------------------
+# Reserve floor
+# ---------------------------------------------------------------------------
+
+
+def test_top_value_equal_to_the_reserve_still_sells():
+    inst = line_market_fixture()  # values 3, 5, 10 down the chain
+    result = idm_run(inst, values_of(inst), 10)
+    assert result.winner == 3
+    assert result.vstar == {1: 10, 2: 10, 3: 10}
+    assert result.payments == {1: 0, 2: 0, 3: 10}
+    unsold = idm_run(inst, values_of(inst), 11)
+    assert unsold.winner is None and unsold.critical_sequence == ()
+    assert unsold.payments == {1: 0, 2: 0, 3: 0}
+
+
+def test_zero_reserve_is_plain_idm():
+    rng = random.Random(4)
+    for _ in range(200):
+        inst = random_instance(rng, rng.randint(1, 8))
+        values = {i: rng.randint(0, 6) for i in inst.reports}
+        assert idm_run(inst, values, 0) == idm_run(inst, values)
+
+
+def test_reserve_floor_matches_the_virtual_bidder_exhaustively():
+    # Every digraph on 1-3 bidders with every seller set, every one-item
+    # value profile in 0..2 and every reserve in 0..3: 55,896 markets.
+    markets = floored = 0
+    for n in range(1, 4):
+        for seller, graph in all_digraph_networks(n):
+            market = instance_from_parts(
+                1, seller, graph, {i: Valuation.zero(1) for i in graph}
+            )
+            for values in itertools.product(range(3), repeat=n):
+                item_value = dict(zip(graph, values))
+                plain = idm_run(market, item_value)
+                for reserve in range(4):
+                    result = idm_run(market, item_value, reserve)
+                    assert result == virtual_bidder_idm(market, item_value, reserve)
+                    markets += 1
+                    floored += result != plain
+    assert markets == 55_896
+    assert floored > markets // 2  # the floor changes most of these outcomes
+
+
+@st.composite
+def floored_markets(draw):
+    n = draw(st.integers(1, 8))
+    ids = range(1, n + 1)
+    seller = draw(st.frozensets(st.sampled_from(ids), min_size=1))
+    edges = {i: draw(st.frozensets(st.sampled_from(ids))) - {i} for i in ids}
+    values = {i: draw(st.integers(0, 9)) for i in ids}
+    return build_instance(1, seller, edges), values, draw(st.integers(0, 11))
+
+
+@given(floored_markets())
+@settings(max_examples=300, deadline=None)
+def test_reserve_floor_matches_the_virtual_bidder_on_random_markets(case):
+    market, values, reserve = case
+    assert idm_run(market, values, reserve) == virtual_bidder_idm(market, values, reserve)

@@ -20,7 +20,12 @@ A planted mutant shows each relation failing.
 
 import pytest
 
-from netauction.drm import MECHANISMS, graph_exploration_cdp, greedy_bdp
+from netauction.drm import (
+    MECHANISMS,
+    graph_exploration_cdp,
+    greedy_bdp,
+    unfloored_idm,
+)
 from netauction.framework import dcaf_run_detailed
 from netauction.generate import (
     FamilySpec,
@@ -29,7 +34,6 @@ from netauction.generate import (
     generate_instances,
     instance_from_parts,
 )
-from netauction.idm import idm_run
 from netauction.model import MechanismConfig, Valuation
 
 import mutants
@@ -158,7 +162,7 @@ def test_floor_halved_price_breaks_value_scaling():
 def test_split_counting_unreached_invitations_breaks_the_uninvited_bidder():
     def mechanism(instance):
         return dcaf_run_detailed(
-            instance, mutants.invited_count_cdp, greedy_bdp, idm_run
+            instance, mutants.invited_count_cdp, greedy_bdp, unfloored_idm
         ).outcome
 
     assert not all(uninvited_holds(mechanism, inst) for inst in CORPUS)
@@ -211,7 +215,8 @@ def test_random_division_is_exempt_from_the_worthless_item():
 def test_greedy_division_keeping_the_last_maximum_breaks_the_worthless_item():
     def mechanism(instance):
         return dcaf_run_detailed(
-            instance, graph_exploration_cdp, mutants.last_max_greedy_bdp, idm_run
+            instance, graph_exploration_cdp, mutants.last_max_greedy_bdp,
+            unfloored_idm,
         ).outcome
 
     assert not all(worthless_item_holds(mechanism, inst, False) for inst in CORPUS)
