@@ -185,21 +185,24 @@ def run_with_config_detailed(
 
 def sell_grand_bundle(
     instance: AuctionInstance, single_item_mech: SingleItemMech
-) -> SingleItemResult:
+) -> Outcome:
     """Sell all items as one lot at the bidders' reported values; the
-    mechanism itself finds who qualifies."""
+    mechanism itself finds who qualifies.  The local winner gets the lot,
+    and every bidder pays what the mechanism charged her, 0 if nothing."""
     grand = full_bundle(instance.m)
     values = {i: rep.valuation.values[grand] for i, rep in instance.reports.items()}
-    return single_item_mech(instance, values, 0)
+    result = single_item_mech(instance, values, 0)
+    allocation = dict.fromkeys(instance.reports, 0)
+    if result.winner is not None:
+        allocation[result.winner] = grand
+    payment = dict.fromkeys(instance.reports, 0)
+    payment.update(result.payments)
+    return Outcome(allocation, payment)
 
 
 def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     """IDM run directly on the instance, selling all items as one lot."""
-    result = sell_grand_bundle(instance, idm_run)
-    allocation = {i: 0 for i in instance.reports}
-    if result.winner is not None:
-        allocation[result.winner] = full_bundle(instance.m)
-    return Outcome(allocation, dict(result.payments))
+    return sell_grand_bundle(instance, idm_run)
 
 
 def baseline_direct_second_price(

@@ -79,7 +79,7 @@ class BundleTuple:
 class RoundState(NamedTuple):
     """One engine round as the loop saw it: the residual instance, the CDP's
     split, the BDP's tuples and, per candidate, whether she resold.  The id
-    views below are sorted tuples read off the residual and the split."""
+    views below are the split's, read off as tuples."""
 
     index: int
     residual: AuctionInstance
@@ -90,14 +90,6 @@ class RoundState(NamedTuple):
     items_before: Bundle
     items_after: Bundle
     removed: frozenset[int]
-
-    @property
-    def participants(self) -> tuple[int, ...]:
-        return tuple(sorted(self.residual.reports))
-
-    @property
-    def frontier(self) -> tuple[int, ...]:
-        return tuple(sorted(self.residual.seller_neighbors))
 
     @property
     def candidates(self) -> tuple[int, ...]:
@@ -158,15 +150,11 @@ def round_prices(
 
 
 @dataclass(frozen=True)
-class DrpResult:
-    """Partial outcome over one distributor's reach."""
+class DrpResult(Outcome):
+    """The partial outcome over one distributor's reach, and whether her
+    resale attempt stood."""
 
-    allocation: dict[int, Bundle]
-    payment: dict[int, Money]
     resold: bool
-
-    def intake(self) -> Money:
-        return sum(self.payment.values())
 
 
 def drp_run(
@@ -273,7 +261,7 @@ def dcaf_run_detailed(
                 sold |= b
             for j, p in result.payment.items():
                 payment[j] += p
-            intake += result.intake()
+            intake += result.seller_revenue
             resold_flags.append(result.resold)
 
         removed = frozenset(claimed | partition.non_trading)

@@ -18,10 +18,9 @@ from .model import AuctionInstance, Money
 @dataclass(frozen=True)
 class SingleItemResult:
     """Outcome of one local single-item market, and how IDM got there: the
-    top bidder's critical sequence and every sequence node's outside offer
-    ``vstar`` (both empty when there is no sale).  Two values are derived,
-    never stored: the top bidder, the last node of her own critical
-    sequence, and the revenue, the sum of the payments.
+    top bidder's critical sequence, which ends at her, and every sequence
+    node's outside offer ``vstar`` (both empty when there is no sale).  Only
+    the revenue, the sum of the payments, is derived rather than stored.
     """
 
     winner: int | None
@@ -30,16 +29,8 @@ class SingleItemResult:
     vstar: dict[int, Money]
 
     @property
-    def top_bidder(self) -> int | None:
-        return self.critical_sequence[-1] if self.critical_sequence else None
-
-    @property
     def revenue(self) -> Money:
         return sum(self.payments.values())
-
-    def utility(self, bidder: int, value: Money) -> Money:
-        """The utility of ``bidder`` here, valuing the item at ``value``."""
-        return (value if self.winner == bidder else 0) - self.payments.get(bidder, 0)
 
 
 def idm_run(

@@ -223,8 +223,9 @@ class AuctionInstance:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Final allocation and payments.  The payment map is the only record of
-    money: the seller's revenue is derived from it, never stored."""
+    """Allocation and payments of a run, or of a sale inside one.  The payment
+    map is the only record of money: the seller's revenue is derived from it,
+    never stored."""
 
     allocation: dict[int, Bundle]
     payment: dict[int, Money]

@@ -503,14 +503,12 @@ def check_revenue_consistency(
     for market in markets:
         result.instances += 1
         truthful = market.truthful()
-        grand = full_bundle(market.m)
         base = sell_grand_bundle(truthful, single_item_mech)
-        base_revenue = base.revenue
+        base_revenue = base.seller_revenue
         result.cases += 1
         for i in all_critical_structures(truthful).critical_nodes:
             true_rep = truthful.reports[i]
-            true_value = true_rep.valuation.values[grand]
-            if base.utility(i, true_value) <= 0:
+            if utility(true_rep, base, i) <= 0:
                 continue
             tables = monotone_tables(market.m, space.v_max)
             devs, clipped = _deviations(true_rep, tables, space, rng)
@@ -519,9 +517,9 @@ def check_revenue_consistency(
                 dev_inst = truthful.with_report(dev)
                 dev_result = sell_grand_bundle(dev_inst, single_item_mech)
                 result.cases += 1
-                if dev_result.utility(i, true_value) <= 0:
+                if utility(true_rep, dev_result, i) <= 0:
                     continue
-                dev_revenue = dev_result.revenue
+                dev_revenue = dev_result.seller_revenue
                 for level in RC_THRESHOLDS:
                     if (base_revenue < level) != (dev_revenue < level):
                         result.violations.append(
@@ -557,7 +555,7 @@ def replay_violation(
     if prop == "RC":
         base = sell_grand_bundle(violation.base_instance(), mechanism)
         deviated = sell_grand_bundle(violation.deviated_instance(), mechanism)
-        return deviated.revenue - base.revenue
+        return deviated.seller_revenue - base.seller_revenue
     if prop == "WBB":
         return mechanism(violation.instance).seller_revenue
     if prop == "EPI4NW":

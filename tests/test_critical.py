@@ -262,7 +262,7 @@ def test_dealer_market_structure_is_the_round_subtree():
     markets = deep_markets = later_rounds = 0
     for inst in corpus:
         for state in run_with_config_detailed(inst, MechanismConfig()).rounds:
-            residual = restrict_instance(inst, state.participants, state.frontier)
+            residual = state.residual
             round_structure = all_critical_structures(residual)
             later_rounds += state.index > 0
             for d in state.candidates:

@@ -153,7 +153,7 @@ def test_resale_success_branch():
     assert result.payment[3] == 5
     assert result.payment[2] == 0
     assert result.payment[1] == pr(1) - rev(1) == -1
-    assert result.intake() == 4
+    assert result.seller_revenue == 4
 
 
 def test_resale_failure_falls_to_reservation():
@@ -283,11 +283,11 @@ def test_two_round_showcase_participants_and_frontier():
     )
     first, second = run.rounds
     assert first.index == 0
-    assert first.participants == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
-    assert first.frontier == (1, 2, 3, 4)
+    assert sorted(first.residual.reports) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert sorted(first.residual.seller_neighbors) == [1, 2, 3, 4]
     assert second.index == 1
-    assert second.participants == (6, 8, 10, 11)
-    assert second.frontier == (6,)
+    assert sorted(second.residual.reports) == [6, 8, 10, 11]
+    assert sorted(second.residual.seller_neighbors) == [6]
 
 
 def test_embedded_branch_reproduces_the_market():

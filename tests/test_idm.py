@@ -39,7 +39,6 @@ def test_line_fixture():
 def test_branch_fixture():
     inst = branch_market_fixture()
     result = idm_run(inst, values_of(inst))
-    assert result.top_bidder == 3
     assert result.critical_sequence == (1, 2, 3)
     assert result.vstar == {1: 2, 2: 6, 3: 9}
     assert result.winner == 2
@@ -63,7 +62,7 @@ def test_empty_market_is_no_sale():
     inst = scalar_market("line", (3,))
     empty = AuctionInstance(1, frozenset(), dict(inst.reports))  # nobody invited
     result = idm_run(empty, {})
-    assert result.winner is None and result.top_bidder is None
+    assert result.winner is None and result.critical_sequence == ()
     assert all(p == 0 for p in result.payments.values())
     assert result.revenue == 0
 

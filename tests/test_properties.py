@@ -322,7 +322,8 @@ def test_drm_ic_fails_by_forced_resale():
 def test_drm_ic_gap_by_value_misreport_when_others_misreport():
     """The second route to the forced-resale gap, found by criterion 4b in
     its instance 127 (this one) under one sampled misreport of the others;
-    with the others truthful every violation hides all invitees.  Bidder 1
+    with the others truthful every violation of that family hides all
+    invitees, though the route itself needs no such help (next test).  Bidder 1
     keeps her true invitee and misreports her values.  Greedy division then
     hands her item 2 for resale at the price setter's bar of 3, which her
     market cannot meet, and the whole pool as reserve at price 0.  Truthfully
@@ -351,6 +352,31 @@ def test_drm_ic_gap_by_value_misreport_when_others_misreport():
     assert truthful.tuples[0].resale == 0b01 and truthful.resold == (True,)
     assert deviated.tuples[0] == BundleTuple(resale=0b10, reserve=0b11)
     assert deviated.resold == (False,)
+
+
+def test_drm_ic_gap_by_value_misreport_with_others_truthful():
+    """The value route needs no misreporting others.  Minimal form: the
+    seller invites 1 and 2, and 1 invites 3; two items.  Truthfully greedy
+    division hands 1 the resale bundle {2}, whose bar is 0: bidder 3 takes it
+    free and 1 nets 0.  Reporting {2} at 0 gets her {1,2} for resale at a bar
+    of 1, which 3 cannot meet, so she buys the reserve bundle {1,2} at price
+    0 and nets 1."""
+    from test_acceptance import _is_forced_resale_gap
+
+    instance = instance_from_parts(
+        2, {1, 2}, {1: {3}, 2: (), 3: ()},
+        {1: Valuation(2, (0, 0, 1, 1)), 2: Valuation(2, (0, 0, 0, 1)),
+         3: Valuation.zero(2)},
+    )
+    result = check_ic(drm, [instance], DeviationSpace(v_max=2))
+    assert (result.cases, len(result.violations)) == (59, 13)
+    assert {v.bidder for v in result.violations} == {1}
+    value_only = [v for v in result.violations if v.deviation.neighbors == {3}]
+    assert [v.delta for v in value_only] == [1] * 5
+    detailed = lambda inst: run_with_config_detailed(inst, MechanismConfig())  # noqa: E731
+    for violation in result.violations:
+        assert replay_violation(drm, violation) == violation.delta
+        assert _is_forced_resale_gap(detailed, violation)
 
 
 def test_rdm_end_to_end_detects_the_same_gap():
@@ -587,6 +613,34 @@ def test_revenue_witnesses_replay_exactly():
     assert result.violations
     for violation in result.violations:
         assert replay_violation(mutants.leaky_idm, violation) == violation.delta
+
+
+def without_zero_payments(single_item_mech):
+    """``single_item_mech`` leaving out every zero payment, which the
+    local-mechanism protocol allows: the engine reads a missing payment as 0."""
+
+    def sparse(market, item_value, reserve):
+        result = single_item_mech(market, item_value, reserve)
+        return replace(result, payments={j: p for j, p in result.payments.items() if p})
+
+    return sparse
+
+
+def test_revenue_consistency_accepts_sparse_payments():
+    """RC judges a mechanism that omits zero payments as it judges the same
+    mechanism paying them in full: same cases, same witnesses."""
+    markets = topology_family(
+        ("line", "star", "branch"), 4, m=1, v_max=3, profiles_per_shape=16, seed=3
+    ) + [branch_market_fixture()]
+    for mechanism, count in ((idm_run, 0), (mutants.leaky_idm, 195)):
+        full = check_revenue_consistency(mechanism, markets)
+        sparse_mechanism = without_zero_payments(mechanism)
+        sparse = check_revenue_consistency(sparse_mechanism, markets)
+        assert (full.cases, len(full.violations)) == (1421, count)
+        assert sparse.cases == full.cases
+        assert sparse.violations == full.violations
+        for violation in sparse.violations:
+            assert replay_violation(sparse_mechanism, violation) == violation.delta
 
 
 def test_revenue_consistency_samples_past_the_budget():

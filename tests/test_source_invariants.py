@@ -1,10 +1,12 @@
 """Invariants read off the package source: the runtime imports only the
 standard library, mechanism logic never touches floating point (both stated
 in the README), every exception class the package defines is raised, and
-every top-level name the package defines is used by the package or the
-benchmark (what only tests use lives in tests/reference.py)."""
+every top-level name and every class method or property the package defines
+is used by the package or the benchmark (what only tests use lives in
+tests/reference.py)."""
 
 import ast
+from collections import Counter
 import builtins
 import sys
 from pathlib import Path
@@ -97,10 +99,16 @@ def _loaded_names(node):
     return names
 
 
-def test_every_top_level_name_is_used_by_the_package_or_the_benchmark():
-    package = package_trees()
+def bench_trees():
+    """Every benchmark module parsed, by name; fails rather than finding none."""
     bench = {path.stem: parsed(path.stem, BENCH) for path in sorted(BENCH.glob("*.py"))}
     assert {"run", "smoke", "tracing", "workloads"} <= set(bench)
+    return bench
+
+
+def test_every_top_level_name_is_used_by_the_package_or_the_benchmark():
+    package = package_trees()
+    bench = bench_trees()
     # Each top-level statement with the names it reads; a definition that
     # reads only its own name (recursion, a self-annotation) is not a use.
     statements = [
@@ -126,3 +134,35 @@ def test_every_top_level_name_is_used_by_the_package_or_the_benchmark():
                     unused.append(f"{module}.{name}")
     assert "all_critical_structures" in defined
     assert unused == []
+
+
+def _loaded_attributes(node):
+    return Counter(
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def test_every_method_and_property_is_read_by_the_package_or_the_benchmark():
+    """Each non-dunder method or property of a package class has its name
+    loaded as an attribute somewhere in the package or the benchmark, outside
+    its own body; a member only tests read is dead weight in the class."""
+    package = package_trees()
+    loads = Counter()
+    for tree in [*package.values(), *bench_trees().values()]:
+        loads += _loaded_attributes(tree)
+    members, unread = [], []
+    for module, tree in package.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if not isinstance(stmt, ast.FunctionDef) or (
+                    stmt.name.startswith("__") and stmt.name.endswith("__")
+                ):
+                    continue
+                members.append(stmt.name)
+                if loads[stmt.name] <= _loaded_attributes(stmt)[stmt.name]:
+                    unread.append(f"{module}.{cls.name}.{stmt.name}")
+    assert {"seller_revenue", "revenue", "with_report"} <= set(members)
+    assert unread == []
