@@ -5,24 +5,24 @@ candidate split, the greedy bundle division, the IDM local resale market
 (which ignores the resale bar it is handed), and second/first-price bundle
 pricing over the non-trading set.  Variants swap the bundle division for the
 random single-item one ("drm-random-bdp") or the local market for IDM floored
-at the resale bar ("drm-reserve").
+at the resale bar ("drm-reserve").  The "idm" yardstick is IDM selling the
+grand bundle as one lot on the whole instance.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .framework import (
     BoundPrice,
     BundleTuple,
     DistributorPartition,
-    SingleItemMech,
     dcaf_run_detailed,
     DcafRun,
 )
-from .idm import SingleItemResult, idm_run
+from .idm import idm_run
 from .model import (
     AuctionError,
     AuctionInstance,
@@ -162,12 +162,10 @@ BDPS = {"greedy": greedy_bdp}
 # ---------------------------------------------------------------------------
 
 
-def unfloored_idm(
-    market: AuctionInstance, item_value: Mapping[int, Money], reserve: Money
-) -> SingleItemResult:
+def unfloored_idm(market: AuctionInstance, lot: Bundle, reserve: Money) -> Outcome:
     """Plain IDM as a local market: the reserve it is handed is ignored."""
     # Looked up per call, not bound at import: bench/tracing.py swaps idm_run.
-    return idm_run(market, item_value)
+    return idm_run(market, lot)
 
 
 def run_with_config(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
@@ -183,26 +181,9 @@ def run_with_config_detailed(
     )
 
 
-def sell_grand_bundle(
-    instance: AuctionInstance, single_item_mech: SingleItemMech
-) -> Outcome:
-    """Sell all items as one lot at the bidders' reported values; the
-    mechanism itself finds who qualifies.  The local winner gets the lot,
-    and every bidder pays what the mechanism charged her, 0 if nothing."""
-    grand = full_bundle(instance.m)
-    values = {i: rep.valuation.values[grand] for i, rep in instance.reports.items()}
-    result = single_item_mech(instance, values, 0)
-    allocation = dict.fromkeys(instance.reports, 0)
-    if result.winner is not None:
-        allocation[result.winner] = grand
-    payment = dict.fromkeys(instance.reports, 0)
-    payment.update(result.payments)
-    return Outcome(allocation, payment)
-
-
 def idm_grand_bundle(instance: AuctionInstance, config: MechanismConfig) -> Outcome:
     """IDM run directly on the instance, selling all items as one lot."""
-    return sell_grand_bundle(instance, idm_run)
+    return idm_run(instance, full_bundle(instance.m))
 
 
 def baseline_direct_second_price(

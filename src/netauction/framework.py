@@ -5,21 +5,20 @@ residual instance alone, splits the crowd reachable from the residual's seller
 invitations (the frontier) into candidate distributors and a non-trading set
 whose reported values price bundles; a bundle division process (BDP) hands
 every candidate a resale bundle and a reserve bundle; each candidate then
-either resells her bundle to her own invitees through a single-item diffusion
-mechanism (keeping the margin between the bundle's fixed resale revenue and
-its price) or, if the local proceeds fall short, buys the reserve bundle at
-its price.  Processed participants leave, their invitees form the next
-frontier, and unsold items stay in the pool.
+either resells her bundle as one lot to her own invitees through a local
+single-item mechanism (keeping the margin between the bundle's fixed resale
+revenue and its price) or, if the local proceeds fall short, buys the reserve
+bundle at its price.  Processed participants leave, their invitees form the
+next frontier, and unsold items stay in the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .critical import Unqualified, all_critical_structures, check_outcome
-from .idm import SingleItemResult
 from .model import (
     AuctionError,
     AuctionInstance,
@@ -39,9 +38,11 @@ BoundPrice = Callable[[Bundle], Money]
 Cdp = Callable[[AuctionInstance], "DistributorPartition"]
 Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
                tuple["BundleTuple", ...]]
-# A local single-item market: (market, item values, reserve price).  The
-# engine hands it the resale bar as the reserve; a mechanism may ignore it.
-SingleItemMech = Callable[[AuctionInstance, Mapping[int, Money], Money], SingleItemResult]
+# A local single-item market: (market, lot, reserve price) -> an outcome with
+# an entry for every market bidder, in which each bidder bids her report's
+# value for the lot and the winner holds it.  The engine hands it the resale
+# bar as the reserve; a mechanism may ignore it.
+SingleItemMech = Callable[[AuctionInstance, Bundle, Money], Outcome]
 
 
 class InvalidTuple(AuctionError):
@@ -171,38 +172,32 @@ def drp_run(
 
     ``reach`` is the distributor's subtree in the residual graph's dominator
     tree: she herself plus every bidder only she can reach.  Her invitees in
-    it form a local market where her resale bundle is sold as a single item,
-    with the bundle's fixed resale revenue, the bar, as the local mechanism's
-    reserve price.  If the local proceeds reach the bar she gets nothing,
-    pays price minus revenue (a non-positive amount: her dealer margin), and
-    the local outcome stands; otherwise the attempt is void and she buys the
-    reserve bundle at its price.  An empty resale bundle or an empty local
-    market skips straight to the reservation branch.
+    it form a local market where her resale bundle is sold as one lot, with
+    the bundle's fixed resale revenue, the bar, as the local mechanism's
+    reserve price.  If some invitee wins the lot and the local proceeds
+    reach the bar, she gets nothing, pays price minus revenue (a
+    non-positive amount: her dealer margin), and the local outcome stands;
+    otherwise the attempt is void and she buys the reserve bundle at its
+    price.  An empty resale bundle or an empty local market skips straight
+    to the reservation branch.
     """
     locals_ = reach - {distributor}
-    allocation = dict.fromkeys(reach, 0)
-    payment = dict.fromkeys(reach, 0)
-
     resale = bundle_tuple.resale
     if resale and locals_:
         bar = rev(resale)
         seller_edges = residual_instance.reports[distributor].neighbors & locals_
         market = restrict_instance(residual_instance, locals_, seller_edges)
-        item_value = {
-            j: residual_instance.reports[j].valuation.values[resale] for j in locals_
-        }
-        result = single_item_mech(market, item_value, bar)
-        if result.winner is not None and result.revenue >= bar:
-            for j in locals_:
-                payment[j] = result.payments.get(j, 0)
-            allocation[result.winner] = resale
-            payment[distributor] = pr(resale) - bar
+        sale = single_item_mech(market, resale, bar)
+        if resale in sale.allocation.values() and sale.seller_revenue >= bar:
+            allocation = {**sale.allocation, distributor: 0}
+            payment = {**sale.payment, distributor: pr(resale) - bar}
             return DrpResult(allocation, payment, True)
 
     reserve = bundle_tuple.reserve
-    allocation[distributor] = reserve
-    payment[distributor] = pr(reserve)
-    return DrpResult(allocation, payment, False)
+    nothing = dict.fromkeys(reach, 0)
+    return DrpResult(
+        {**nothing, distributor: reserve}, {**nothing, distributor: pr(reserve)}, False
+    )
 
 
 # ---------------------------------------------------------------------------

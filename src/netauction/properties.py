@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .critical import all_critical_structures
-from .drm import graph_exploration_cdp, sell_grand_bundle
+from .drm import graph_exploration_cdp
 from .framework import (
     Bdp,
     Cdp,
@@ -503,7 +503,8 @@ def check_revenue_consistency(
     for market in markets:
         result.instances += 1
         truthful = market.truthful()
-        base = sell_grand_bundle(truthful, single_item_mech)
+        grand = full_bundle(market.m)
+        base = single_item_mech(truthful, grand, 0)
         base_revenue = base.seller_revenue
         result.cases += 1
         for i in all_critical_structures(truthful).critical_nodes:
@@ -515,7 +516,7 @@ def check_revenue_consistency(
             result.budget_exceeded |= clipped
             for dev in devs:
                 dev_inst = truthful.with_report(dev)
-                dev_result = sell_grand_bundle(dev_inst, single_item_mech)
+                dev_result = single_item_mech(dev_inst, grand, 0)
                 result.cases += 1
                 if utility(true_rep, dev_result, i) <= 0:
                     continue
@@ -553,8 +554,9 @@ def replay_violation(
         bar = utility(true_rep, mechanism(base), i) if prop == "IC" else 0
         return utility(true_rep, mechanism(violation.deviated_instance()), i) - bar
     if prop == "RC":
-        base = sell_grand_bundle(violation.base_instance(), mechanism)
-        deviated = sell_grand_bundle(violation.deviated_instance(), mechanism)
+        grand = full_bundle(violation.instance.m)
+        base = mechanism(violation.base_instance(), grand, 0)
+        deviated = mechanism(violation.deviated_instance(), grand, 0)
         return deviated.seller_revenue - base.seller_revenue
     if prop == "WBB":
         return mechanism(violation.instance).seller_revenue

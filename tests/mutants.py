@@ -11,14 +11,15 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from netauction.critical import all_critical_structures
 from netauction.drm import graph_exploration_cdp
 from netauction.framework import BundleTuple, DistributorPartition
-from netauction.idm import SingleItemResult, idm_run
+from netauction.idm import idm_run
 from netauction.model import (
     AuctionInstance,
+    Bundle,
     Money,
     Outcome,
     full_bundle,
@@ -218,18 +219,16 @@ def last_max_greedy_bdp(
     )
 
 
-def leaky_idm(
-    market: AuctionInstance, item_value: Mapping[int, Money], reserve: Money
-) -> SingleItemResult:
+def leaky_idm(market: AuctionInstance, lot: Bundle, reserve: Money) -> Outcome:
     """IDM plus a rebate of the first critical node's own bid: the local
     revenue now moves with a positive-utility loser's report.  The reserve
     is ignored."""
-    result = idm_run(market, item_value)
-    if result.winner is None or not result.critical_sequence:
-        return result
-    first = result.critical_sequence[0]
-    if first == result.winner:
-        return result
-    payments = dict(result.payments)
-    payments[first] -= item_value[first]
-    return replace(result, payments=payments)
+    sale = idm_run(market, lot)
+    if not sale.critical_sequence:
+        return sale
+    first = sale.critical_sequence[0]
+    if sale.allocation[first] == lot:
+        return sale
+    payment = dict(sale.payment)
+    payment[first] -= market.reports[first].valuation.values[lot]
+    return replace(sale, payment=payment)

@@ -16,13 +16,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from netauction.critical import Unqualified, all_critical_structures
 from netauction.drm import graph_exploration_cdp
 from netauction.generate import instance_from_parts, monotone_tables, scalar_market
-from netauction.idm import SingleItemResult, idm_run
-from netauction.model import AuctionInstance, BidderReport, Money, Valuation, utility
+from netauction.idm import IdmSale, idm_run
+from netauction.model import (
+    AuctionInstance,
+    BidderReport,
+    Bundle,
+    Money,
+    Valuation,
+    utility,
+)
 from netauction.properties import (
     CheckResult,
     DeviationSpace,
@@ -147,22 +154,24 @@ def deviation_cases_without_memo(
 
 
 def virtual_bidder_idm(
-    market: AuctionInstance, item_value: Mapping[int, Money], reserve: Money
-) -> SingleItemResult:
+    market: AuctionInstance, lot: Bundle, reserve: Money
+) -> IdmSale:
     """Plain IDM with the reserve as a virtual bidder: one more seller
-    invitee who invites nobody, values the item at ``reserve`` and has the
+    invitee who invites nobody, values the lot at ``reserve`` and has the
     highest id, so she loses every tie.  She is stripped from the result,
     and her win is no sale."""
     virtual = max(market.reports, default=0) + 1
     reports = dict(market.reports)
-    reports[virtual] = BidderReport(virtual, Valuation.zero(market.m), frozenset())
+    table = Valuation.from_pairs(market.m, {lot: reserve})
+    reports[virtual] = BidderReport(virtual, table, frozenset())
     padded = AuctionInstance(market.m, market.seller_neighbors | {virtual}, reports)
-    result = idm_run(padded, {**item_value, virtual: reserve})
-    payments = {j: p for j, p in result.payments.items() if j != virtual}
-    if result.winner == virtual:
-        return SingleItemResult(None, payments, (), {})
-    assert result.payments[virtual] == 0, "the virtual bidder paid without winning"
-    return replace(result, payments=payments)
+    result = idm_run(padded, lot)
+    allocation = {j: b for j, b in result.allocation.items() if j != virtual}
+    payment = {j: p for j, p in result.payment.items() if j != virtual}
+    if result.critical_sequence == (virtual,):
+        return IdmSale(allocation, payment, (), {})
+    assert result.payment[virtual] == 0, "the virtual bidder paid without winning"
+    return replace(result, allocation=allocation, payment=payment)
 
 
 def line_market_fixture() -> AuctionInstance:

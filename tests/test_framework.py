@@ -393,12 +393,6 @@ def test_split_that_classifies_nobody_ends_after_one_round():
     assert set(run.outcome.payment.values()) == {0}
 
 
-def test_idm_rejects_a_missing_item_value():
-    market = build_instance(1, {1}, {1: {2}, 2: set()})
-    with pytest.raises(KeyError, match="no item value for qualified bidder 2"):
-        idm_run(market, {1: 3})
-
-
 @pytest.mark.parametrize(
     "resize", [lambda t: t[:-1], lambda t: t + (BundleTuple(0, 0),)],
     ids=["one-short", "one-extra"],

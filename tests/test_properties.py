@@ -40,6 +40,7 @@ from netauction.model import (
     BidderReport,
     MechanismConfig,
     Outcome,
+    UnknownBidder,
     Valuation,
     utility,
 )
@@ -203,6 +204,24 @@ def test_one_table_space_samples_subsets_only(m, v_max):
 # ---------------------------------------------------------------------------
 # Clean mechanisms
 # ---------------------------------------------------------------------------
+
+
+def test_zero_items_sell_nothing_and_break_nothing():
+    """With no items the lot is empty and a sale shows in no allocation, so
+    the figures pin what does show: nobody is charged, RC sees one case per
+    market, and no misreport gains under drm or IDM."""
+    family = generate_instances(FamilySpec(n=5, m=0, v_max=3, count=20, seed=1))
+    for name, mechanism in MECHANISMS.items():
+        for inst in family:
+            outcome = mechanism(inst, MechanismConfig())
+            assert set(outcome.allocation.values()) == {0}, name
+            assert set(outcome.payment.values()) == {0}, name
+    assert check_revenue_consistency(idm_run, family).summary() == (
+        "RC: ok [exhaustive] instances=20 cases=20 violations=0"
+    )
+    for mechanism in (drm, idm_standalone):
+        result = check_ic(mechanism, family, DeviationSpace(v_max=2))
+        assert (result.cases, len(result.violations)) == (498, 0)
 
 
 def test_idm_ir_and_ic_clean_on_tiny_markets():
@@ -615,32 +634,25 @@ def test_revenue_witnesses_replay_exactly():
         assert replay_violation(mutants.leaky_idm, violation) == violation.delta
 
 
-def without_zero_payments(single_item_mech):
-    """``single_item_mech`` leaving out every zero payment, which the
-    local-mechanism protocol allows: the engine reads a missing payment as 0."""
-
-    def sparse(market, item_value, reserve):
-        result = single_item_mech(market, item_value, reserve)
-        return replace(result, payments={j: p for j, p in result.payments.items() if p})
-
-    return sparse
-
-
-def test_revenue_consistency_accepts_sparse_payments():
-    """RC judges a mechanism that omits zero payments as it judges the same
-    mechanism paying them in full: same cases, same witnesses."""
+def test_revenue_consistency_needs_an_entry_for_every_bidder():
+    """RC pins its counts on full-entry mechanisms, and a local mechanism
+    that leaves out its zero payments breaks the protocol: RC's utility
+    lookup names the missing bidder."""
     markets = topology_family(
         ("line", "star", "branch"), 4, m=1, v_max=3, profiles_per_shape=16, seed=3
     ) + [branch_market_fixture()]
     for mechanism, count in ((idm_run, 0), (mutants.leaky_idm, 195)):
         full = check_revenue_consistency(mechanism, markets)
-        sparse_mechanism = without_zero_payments(mechanism)
-        sparse = check_revenue_consistency(sparse_mechanism, markets)
         assert (full.cases, len(full.violations)) == (1421, count)
-        assert sparse.cases == full.cases
-        assert sparse.violations == full.violations
-        for violation in sparse.violations:
-            assert replay_violation(sparse_mechanism, violation) == violation.delta
+        for violation in full.violations:
+            assert replay_violation(mechanism, violation) == violation.delta
+
+    def sparse(market, lot, reserve):
+        sale = idm_run(market, lot, reserve)
+        return replace(sale, payment={j: p for j, p in sale.payment.items() if p})
+
+    with pytest.raises(UnknownBidder, match="bidder 1 missing from outcome"):
+        check_revenue_consistency(sparse, markets)
 
 
 def test_revenue_consistency_samples_past_the_budget():
