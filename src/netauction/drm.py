@@ -135,7 +135,7 @@ def greedy_bdp(
     tuples: dict[int, BundleTuple] = {}
     pool = remaining
     for cand in sorted(candidates):
-        values = residual_instance.reports[cand].valuation.values
+        values = residual_instance.reports[cand].values
         best_resale, best_resale_score = 0, 0
         best_reserve, best_reserve_score = 0, 0
         for b in iter_subbundles(pool):

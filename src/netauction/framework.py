@@ -119,7 +119,7 @@ def price_fn(tn_reports: Sequence[BidderReport], bundle: Bundle) -> Money:
     when fewer than two of them exist."""
     if len(tn_reports) < 2:
         return 0
-    values = sorted((rep.valuation.values[bundle] for rep in tn_reports), reverse=True)
+    values = sorted((rep.values[bundle] for rep in tn_reports), reverse=True)
     return values[1]
 
 
@@ -128,7 +128,7 @@ def resale_revenue_fn(tn_reports: Sequence[BidderReport], bundle: Bundle) -> Mon
     none exist.  Never below :func:`price_fn` on the same inputs."""
     if not tn_reports:
         return 0
-    return max([rep.valuation.values[bundle] for rep in tn_reports])
+    return max([rep.values[bundle] for rep in tn_reports])
 
 
 PRICING = {"second-first": (price_fn, resale_revenue_fn)}

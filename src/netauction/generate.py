@@ -19,7 +19,7 @@ from .model import (
     AuctionInstance,
     BidderReport,
     Money,
-    Valuation,
+    complete_table,
     monotone_floor,
     validate_instance,
 )
@@ -45,11 +45,11 @@ class FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# Valuation sampling and enumeration
+# Value-table sampling and enumeration
 # ---------------------------------------------------------------------------
 
 
-def random_valuation(m: int, v_max: int, rng: random.Random) -> Valuation:
+def random_valuation(m: int, v_max: int, rng: random.Random) -> tuple[Money, ...]:
     """Per-item uniform values summed per bundle, plus a non-negative synergy
     bonus on bundles of two or more items, clamped so the table stays
     monotone."""
@@ -61,11 +61,11 @@ def random_valuation(m: int, v_max: int, rng: random.Random) -> Valuation:
         additive[mask] = additive[mask ^ low] + per_item[low.bit_length() - 1]
         bonus = rng.randint(0, v_max) if mask != low else 0
         vals[mask] = max(additive[mask] + bonus, monotone_floor(vals, mask))
-    return Valuation(m, tuple(vals))
+    return tuple(vals)
 
 
 @lru_cache(maxsize=None)
-def monotone_tables(m: int, v_max: int) -> tuple[Valuation, ...]:
+def monotone_tables(m: int, v_max: int) -> tuple[tuple[Money, ...], ...]:
     """Every monotone table over ``m`` items with values in ``0..v_max`` and
     zero on the empty bundle.  Small only for small ``m``; the deviation
     spaces cap usage."""
@@ -79,7 +79,7 @@ def monotone_tables(m: int, v_max: int) -> tuple[Valuation, ...]:
                 nxt[mask] = v
                 extended.append(nxt)
         tables = extended
-    return tuple(Valuation(m, tuple(t)) for t in tables)
+    return tuple(tuple(t) for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +119,10 @@ def instance_from_parts(
     m: int,
     seller: Iterable[int],
     out_edges: Mapping[int, Iterable[int]],
-    valuations: Mapping[int, Valuation],
+    tables: Mapping[int, tuple[Money, ...]],
 ) -> AuctionInstance:
     reports = {
-        i: BidderReport(i, valuations[i], frozenset(out_edges.get(i, ())))
+        i: BidderReport(i, tables[i], frozenset(out_edges.get(i, ())))
         for i in out_edges
     }
     return validate_instance(
@@ -138,7 +138,7 @@ def scalar_market(
     n = len(values)
     seller, out = TOPOLOGIES[kind](n)
     tables = {
-        i: Valuation.from_pairs(m, {(1 << m) - 1: values[i - 1]})
+        i: complete_table(m, {(1 << m) - 1: values[i - 1]})
         for i in range(1, n + 1)
     }
     return instance_from_parts(m, seller, out, tables)
@@ -276,7 +276,7 @@ def _branch_market(
         1: ({2, 5}, 1), 2: ({3}, 9), 3: ((), 10), 4: ((), 2), 5: ((), 6),
     }
     out = {i: nbs for i, (nbs, _) in market.items()}
-    tables = {i: Valuation(1, (0, v)) for i, (_, v) in market.items()}
+    tables = {i: (0, v) for i, (_, v) in market.items()}
     return instance_from_parts(1, seller, out, tables)
 
 

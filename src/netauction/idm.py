@@ -45,7 +45,7 @@ def idm_run(
     """
     structure = all_critical_structures(local_instance)
     reports = local_instance.reports
-    bid = {i: reports[i].valuation.values[lot] for i in structure.critical_nodes}
+    bid = {i: reports[i].values[lot] for i in structure.critical_nodes}
     allocation = dict.fromkeys(reports, 0)
     payment = dict.fromkeys(reports, 0)
     top = min(bid, key=lambda i: (-bid[i], i), default=None)

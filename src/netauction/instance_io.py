@@ -20,9 +20,9 @@ from .model import (
     AuctionInstance,
     BidderReport,
     Bundle,
-    Valuation,
     bundle_from_items,
     bundle_items,
+    complete_table,
     full_bundle,
     iter_subbundles,
     validate_instance,
@@ -86,9 +86,7 @@ def _parse_bidders(raw: Any, m: int, section: str) -> dict[int, BidderReport]:
             if mask in pairs:
                 raise ParseError(f"{who} {bid}: bundle listed twice")
             pairs[mask] = value
-        reports[bid] = BidderReport(
-            bid, Valuation.from_pairs(m, pairs), frozenset(neighbors)
-        )
+        reports[bid] = BidderReport(bid, complete_table(m, pairs), frozenset(neighbors))
     return reports
 
 
@@ -126,10 +124,10 @@ def parse_instance(text: str) -> AuctionInstance:
     )
 
 
-def _bidder_obj(rep: BidderReport) -> dict[str, Any]:
+def _bidder_obj(rep: BidderReport, m: int) -> dict[str, Any]:
     table = [
-        [list(bundle_items(mask)), rep.valuation.values[mask]]
-        for mask in iter_subbundles(full_bundle(rep.valuation.m))
+        [list(bundle_items(mask)), rep.values[mask]]
+        for mask in iter_subbundles(full_bundle(m))
         if mask
     ]
     return {
@@ -146,12 +144,13 @@ def serialize_instance(instance: AuctionInstance) -> str:
         "m": instance.m,
         "seller_neighbors": sorted(instance.seller_neighbors),
         "bidders": [
-            _bidder_obj(instance.reports[bid]) for bid in sorted(instance.reports)
+            _bidder_obj(instance.reports[bid], instance.m)
+            for bid in sorted(instance.reports)
         ],
     }
     if instance.ground_truth is not None:
         obj["truth"] = [
-            _bidder_obj(instance.ground_truth[bid])
+            _bidder_obj(instance.ground_truth[bid], instance.m)
             for bid in sorted(instance.ground_truth)
         ]
     return json.dumps(obj, indent=2) + "\n"

@@ -1,14 +1,14 @@
-"""Core auction model: items, bundles, valuations, reports, outcomes.
+"""Core auction model: items, bundles, value tables, reports, outcomes.
 
 Items are numbered ``1..m`` and a bundle is a subset of them, stored as an
 ``int`` bitmask (bit ``k-1`` set means item ``k`` is in the bundle).  Money is
 integer minor units throughout; mechanism logic never touches floating point,
 so ties and budget identities are exact.
 
-Bidders report a monotone valuation table over all ``2**m`` bundles plus the
-set of neighbors they invite.  The seller's invitations plus the reported
-neighbor sets induce a directed diffusion graph; only bidders reachable from
-the seller take part in any trade.
+Bidders report a monotone value table over all ``2**m`` bundles, a tuple
+indexed by bundle mask, plus the set of neighbors they invite.  The seller's
+invitations plus the reported neighbor sets induce a directed diffusion
+graph; only bidders reachable from the seller take part in any trade.
 """
 
 from __future__ import annotations
@@ -100,6 +100,35 @@ def monotone_floor(vals: Sequence[Money], mask: Bundle) -> Money:
     return floor
 
 
+def complete_table(m: int, pairs: Mapping[Bundle, Money]) -> tuple[Money, ...]:
+    """Complete a partially listed table: every unlisted bundle gets its
+    :func:`monotone_floor` over the table completed so far.  Listed values
+    are kept verbatim, so a non-monotone listing still fails validation
+    instead of being silently papered over."""
+    vals = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        vals[mask] = pairs[mask] if mask in pairs else monotone_floor(vals, mask)
+    if 0 in pairs:
+        vals[0] = pairs[0]
+    return tuple(vals)
+
+
+def monotonicity_violation(values: Sequence[Money]) -> tuple[Bundle, Bundle] | None:
+    """First (subset, superset) pair with decreasing value in a table of
+    ``2**m`` entries, or None.
+
+    Checking single-item extensions is complete: any violating pair
+    x ⊂ y implies a violating single-bit step on a chain from x to y.
+    """
+    m = len(values).bit_length() - 1
+    for mask, v in enumerate(values):
+        for k in range(m):
+            bit = 1 << k
+            if not mask & bit and v > values[mask | bit]:
+                return mask, mask | bit
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Validation errors
 # ---------------------------------------------------------------------------
@@ -125,68 +154,21 @@ class UnknownBidder(AuctionError):
 
 
 @dataclass(frozen=True)
-class Valuation:
-    """A full valuation table over all bundles of ``m`` items.
+class BidderReport:
+    """What one bidder submits: a value table and the neighbors she invites.
 
-    ``values[mask]`` is the money amount for the bundle ``mask``.  Tables are
-    required (by validation) to be non-negative, zero on the empty bundle,
+    ``values[mask]`` is the money amount for the bundle ``mask``, one entry
+    for each of the instance's ``2**m`` bundles.  Validation requires the
+    table to have that length, to be non-negative, zero on the empty bundle
     and monotone under set inclusion.
     """
 
-    m: int
-    values: tuple[Money, ...]
-
-    def __post_init__(self):
-        if self.m < 0 or self.m > MAX_ITEMS:
-            raise ValueError(f"item count {self.m} outside 0..{MAX_ITEMS}")
-        if len(self.values) != 1 << self.m:
-            raise ValueError(
-                f"table has {len(self.values)} entries, expected {1 << self.m}"
-            )
-
-    @classmethod
-    def zero(cls, m: int) -> "Valuation":
-        return cls(m, (0,) * (1 << m))
-
-    @classmethod
-    def from_pairs(cls, m: int, pairs: Mapping[Bundle, Money]) -> "Valuation":
-        """Complete a partially listed table: every unlisted bundle gets its
-        :func:`monotone_floor` over the table completed so far.  Listed values
-        are kept verbatim, so a non-monotone listing still fails validation
-        instead of being silently papered over."""
-        vals = [0] * (1 << m)
-        for mask in range(1, 1 << m):
-            vals[mask] = pairs[mask] if mask in pairs else monotone_floor(vals, mask)
-        if 0 in pairs:
-            vals[0] = pairs[0]
-        return cls(m, tuple(vals))
-
-    def monotonicity_violation(self) -> tuple[Bundle, Bundle] | None:
-        """First (subset, superset) pair with decreasing value, or None.
-
-        Checking single-item extensions is complete: any violating pair
-        x ⊂ y implies a violating single-bit step on a chain from x to y.
-        """
-        n = 1 << self.m
-        for mask in range(n):
-            v = self.values[mask]
-            for k in range(self.m):
-                bit = 1 << k
-                if not mask & bit and v > self.values[mask | bit]:
-                    return mask, mask | bit
-        return None
-
-
-@dataclass(frozen=True)
-class BidderReport:
-    """What one bidder submits: a valuation table and the neighbors she invites."""
-
     bidder_id: int
-    valuation: Valuation
+    values: tuple[Money, ...]
     neighbors: frozenset[int]
 
     def with_neighbors(self, neighbors: Iterable[int]) -> "BidderReport":
-        return BidderReport(self.bidder_id, self.valuation, frozenset(neighbors))
+        return BidderReport(self.bidder_id, self.values, frozenset(neighbors))
 
 
 @dataclass(frozen=True)
@@ -265,27 +247,29 @@ def _valid_id(bid: object) -> bool:
 
 
 def _check_report(rep: BidderReport, m: int, violations: list[str]) -> None:
-    bid, values = rep.bidder_id, rep.valuation.values
-    if rep.valuation.m != m:
+    bid, values = rep.bidder_id, rep.values
+    if len(values) != 1 << m:
+        # The table's own checks would index past its end, so they are skipped.
         violations.append(
-            f"bidder {bid}: valuation over {rep.valuation.m} item(s), not {m}"
+            f"bidder {bid}: table has {len(values)} entries, expected {1 << m}"
         )
-    if values[0] != 0:
-        violations.append(
-            f"bidder {bid}: empty bundle valued at {values[0]}, must be 0"
-        )
-    negative = next((b for b, v in enumerate(values) if v < 0), None)
-    if negative is not None:
-        violations.append(
-            f"bidder {bid}: negative value {values[negative]} "
-            f"for {bundle_str(negative)}"
-        )
-    pair = rep.valuation.monotonicity_violation()
-    if pair is not None:
-        violations.append(
-            f"bidder {bid}: value of {bundle_str(pair[0])} exceeds "
-            f"value of superset {bundle_str(pair[1])}"
-        )
+    else:
+        if values[0] != 0:
+            violations.append(
+                f"bidder {bid}: empty bundle valued at {values[0]}, must be 0"
+            )
+        negative = next((b for b, v in enumerate(values) if v < 0), None)
+        if negative is not None:
+            violations.append(
+                f"bidder {bid}: negative value {values[negative]} "
+                f"for {bundle_str(negative)}"
+            )
+        pair = monotonicity_violation(values)
+        if pair is not None:
+            violations.append(
+                f"bidder {bid}: value of {bundle_str(pair[0])} exceeds "
+                f"value of superset {bundle_str(pair[1])}"
+            )
     if bid in rep.neighbors:
         violations.append(f"bidder {bid} lists itself as a neighbor")
     for nb in rep.neighbors:
@@ -297,7 +281,7 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     """Check every model invariant; return a normalized instance.
 
     Normalization materializes absent bidders (ids referenced as neighbors
-    but carrying no report) as present with zero valuations and no neighbors,
+    but carrying no report) as present with zero tables and no neighbors,
     which keeps the diffusion graph closed without special cases downstream.
     Raises :class:`InstanceValidationError` listing *all* violations found,
     one message per issue.
@@ -334,7 +318,7 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     if violations:
         raise InstanceValidationError(violations)
 
-    zero = Valuation.zero(instance.m)
+    zero = (0,) * (1 << instance.m)
     reports = dict(instance.reports)
     for bid in _referenced_ids(instance):
         if bid not in reports:
@@ -352,7 +336,7 @@ def utility(true_type: BidderReport, outcome: Outcome, bidder: int) -> Money:
     """True value of the allocated bundle minus the payment."""
     if bidder not in outcome.allocation or bidder not in outcome.payment:
         raise UnknownBidder(f"bidder {bidder} missing from outcome")
-    return true_type.valuation.values[outcome.allocation[bidder]] - outcome.payment[bidder]
+    return true_type.values[outcome.allocation[bidder]] - outcome.payment[bidder]
 
 
 def restrict_instance(
@@ -369,7 +353,7 @@ def restrict_instance(
         raise ValueError("new seller neighbors must lie inside the kept set")
     reports = {
         bid: rep if rep.neighbors <= kept
-        else BidderReport(bid, rep.valuation, rep.neighbors & kept)
+        else BidderReport(bid, rep.values, rep.neighbors & kept)
         for bid, rep in instance.reports.items()
         if bid in kept
     }
@@ -382,5 +366,5 @@ def social_welfare(instance: AuctionInstance, outcome: Outcome) -> Money:
     total = 0
     for bid, bundle in outcome.allocation.items():
         if bundle and bid in types:
-            total += types[bid].valuation.values[bundle]
+            total += types[bid].values[bundle]
     return total

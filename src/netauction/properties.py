@@ -33,7 +33,6 @@ from .model import (
     BidderReport,
     Money,
     Outcome,
-    Valuation,
     bundle_str,
     full_bundle,
     utility,
@@ -45,12 +44,18 @@ MechanismFn = Callable[[AuctionInstance], Outcome]
 @dataclass(frozen=True)
 class DeviationSpace:
     """What a single bidder may try: any subset of her true neighbors crossed
-    with any monotone valuation table up to ``v_max``.
+    with any monotone value table up to ``v_max``.
 
     ``budget`` caps the unilateral deviations enumerated per bidder; beyond
     it the space is sampled and the run is marked so.  ``others_budget``
     controls how many joint deviation profiles of the *other* bidders are
     layered under each unilateral check (0 keeps the others truthful).
+
+    Every sampled draw of one checker call comes from one generator seeded
+    with ``seed`` and shared across the whole instance list, so the profiles
+    an instance is checked against depend on its position in that list.  A
+    witness still replays from its stored context, but checking its
+    instance alone may sample other contexts.
     """
 
     v_max: int = 3
@@ -146,7 +151,7 @@ def _subset_lattice(
 
 def _deviations(
     truth: BidderReport,
-    tables: Sequence[Valuation],
+    tables: Sequence[tuple[Money, ...]],
     space: DeviationSpace,
     rng: random.Random,
 ) -> tuple[list[BidderReport], bool]:
@@ -195,17 +200,14 @@ def _others_contexts(
 
 
 class _ReadLog:
-    """A deviator's valuation table that logs every ``values[b]`` read with
-    an int key, in first-read order.  ``len`` is free; any other access sets
+    """A deviator's value table that logs every ``values[b]`` read with an
+    int key, in first-read order.  Any other access, ``len`` included, sets
     ``whole``, since the run may then have read the whole table."""
 
     __slots__ = ("values", "reads", "whole")
 
     def __init__(self, values: tuple[Money, ...]):
         self.values, self.reads, self.whole = values, {}, False
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __getitem__(self, bundle):
         if type(bundle) is int:
@@ -217,8 +219,9 @@ class _ReadLog:
         return getattr(self.values, name)
 
 
-for _name in ("__iter__", "__contains__", "__hash__", "__eq__", "__ne__", "__lt__",
-              "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__", "__repr__"):
+for _name in ("__len__", "__iter__", "__contains__", "__hash__", "__eq__", "__ne__",
+              "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__",
+              "__repr__"):
     # Special methods bypass __getattr__, so each one is routed through it.
     setattr(_ReadLog, _name, lambda self, *a, _name=_name: self.__getattr__(_name)(*a))
 
@@ -231,14 +234,14 @@ def _memo_run(
     next, {value found there: child}]``, or ``[None, outcome]`` at a leaf.
     A miss runs once on a :class:`_ReadLog` and, unless the run read the
     table whole, files its reads as a new branch."""
-    values = dev.valuation.values
+    values = dev.values
     node = memo.get(dev.neighbors)
     while node is not None and node[0] is not None:
         node = node[1].get(values[node[0]])
     if node is not None:
         return node[1]
     log = _ReadLog(values)
-    logged = BidderReport(dev.bidder_id, Valuation(dev.valuation.m, log), dev.neighbors)
+    logged = BidderReport(dev.bidder_id, log, dev.neighbors)
     outcome = mechanism(base.with_report(logged))
     if log.whole:
         return outcome
@@ -277,8 +280,8 @@ def _deviation_cases(
     deterministic function of the reports: a deviation with the same
     neighbor subset as an earlier run, agreeing with it on every
     ``values[b]`` that run read, reuses its outcome without a call.  A run
-    that touches the deviator's table any other way (iteration, slicing,
-    comparison, hashing, any other attribute) is never reused.
+    that touches the deviator's table any other way (length, iteration,
+    slicing, comparison, hashing, any other attribute) is never reused.
     """
     ic = prop == "IC"
     rng = random.Random(space.seed)
@@ -288,7 +291,7 @@ def _deviation_cases(
         truthful = inst.truthful()
         for i in all_critical_structures(truthful).critical_nodes:
             true_rep = truthful.reports[i]
-            tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.valuation,)
+            tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.values,)
             devs, clipped = _deviations(true_rep, tables, space, rng)
             result.budget_exceeded |= clipped
             for ctx in _others_contexts(inst, i, space, rng):
@@ -317,9 +320,10 @@ def check_ir(
     instances: Iterable[AuctionInstance],
     space: DeviationSpace = DeviationSpace(),
 ) -> CheckResult:
-    """Truthful valuation plus any invitation subset never yields negative
+    """Truthful values plus any invitation subset never yield negative
     utility, under the truthful profile of others and under sampled
-    others' deviation profiles."""
+    others' deviation profiles.  The sampled profiles depend on the
+    instance's position in ``instances`` (see :class:`DeviationSpace`)."""
     return _deviation_cases("IR", mechanism, instances, space)
 
 
@@ -328,8 +332,10 @@ def check_ic(
     instances: Iterable[AuctionInstance],
     space: DeviationSpace = DeviationSpace(),
 ) -> CheckResult:
-    """No unilateral misreport (valuation table and/or invitation subset)
-    strictly beats truth-telling, others held fixed."""
+    """No unilateral misreport (value table and/or invitation subset)
+    strictly beats truth-telling, others held fixed.  The others' sampled
+    profiles depend on the instance's position in ``instances`` (see
+    :class:`DeviationSpace`)."""
     return _deviation_cases("IC", mechanism, instances, space)
 
 
@@ -380,7 +386,7 @@ def check_cdp_consistency(
     deviating; an unclassified bidder reporting more changes nothing.
 
     Also probes the split's type contract (a candidate split is a function
-    of invitation reports alone) by bumping one valuation at a time and
+    of invitation reports alone) by bumping one value table at a time and
     requiring bitwise-identical output.
 
     Each bidder costs one split call per neighbor subset plus one for the
@@ -391,8 +397,8 @@ def check_cdp_consistency(
     instance only when a violation is flagged.  ``out_edges`` is only read,
     so maps shared across networks stay intact."""
     result = CheckResult("CDC", "exhaustive")
-    zero = Valuation.zero(1)
-    probe_table = Valuation.from_pairs(1, {1: 7})  # network instances sell one item
+    zero = (0, 0)
+    probe_table = (0, 7)  # network instances sell one item
     # (bidder, true neighbors) -> her report per neighbor subset in lattice
     # order (the true one last) then the probe, and the lattice's pairs.
     deviations: dict[tuple[int, frozenset[int]], tuple[list, list]] = {}

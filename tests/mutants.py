@@ -39,7 +39,7 @@ def qualified_second_price(
     allocation = {i: 0 for i in instance.reports}
     payment = {i: 0 for i in instance.reports}
     if reachable:
-        values = {i: instance.reports[i].valuation.values[grand] for i in reachable}
+        values = {i: instance.reports[i].values[grand] for i in reachable}
         winner = min(reachable, key=lambda i: (-values[i], tie(i)))
         rest = sorted((values[i] for i in reachable if i != winner), reverse=True)
         allocation[winner] = grand
@@ -54,7 +54,7 @@ def overcharging_mechanism(instance: AuctionInstance) -> Outcome:
     payment = dict(outcome.payment)
     for i, bundle in outcome.allocation.items():
         if bundle:
-            payment[i] = instance.reports[i].valuation.values[grand] + 1
+            payment[i] = instance.reports[i].values[grand] + 1
     return Outcome(outcome.allocation, payment)
 
 
@@ -131,7 +131,7 @@ def valuation_ranked_cdp(residual_instance: AuctionInstance) -> DistributorParti
     depends on valuations, which a candidate split must never do."""
     reports, grand = residual_instance.reports, full_bundle(residual_instance.m)
     return _ranked_exploration(
-        residual_instance, lambda i: (-reports[i].valuation.values[grand], i)
+        residual_instance, lambda i: (-reports[i].values[grand], i)
     )
 
 
@@ -170,7 +170,7 @@ def _greedy_division(
     tuples: dict[int, BundleTuple] = {}
     pool = remaining
     for cand in order:
-        value = residual_instance.reports[cand].valuation.values
+        value = residual_instance.reports[cand].values
         best_resale, best_resale_score = 0, 0
         best_reserve, best_reserve_score = 0, 0
         for b in iter_subbundles(pool):
@@ -230,5 +230,5 @@ def leaky_idm(market: AuctionInstance, lot: Bundle, reserve: Money) -> Outcome:
     if sale.allocation[first] == lot:
         return sale
     payment = dict(sale.payment)
-    payment[first] -= market.reports[first].valuation.values[lot]
+    payment[first] -= market.reports[first].values[lot]
     return replace(sale, payment=payment)

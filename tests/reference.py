@@ -27,7 +27,7 @@ from netauction.model import (
     BidderReport,
     Bundle,
     Money,
-    Valuation,
+    complete_table,
     utility,
 )
 from netauction.properties import (
@@ -131,7 +131,7 @@ def deviation_cases_without_memo(
         truthful = inst.truthful()
         for i in all_critical_structures(truthful).critical_nodes:
             true_rep = truthful.reports[i]
-            tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.valuation,)
+            tables = monotone_tables(inst.m, space.v_max) if ic else (true_rep.values,)
             devs, clipped = _deviations(true_rep, tables, space, rng)
             result.budget_exceeded |= clipped
             for ctx in _others_contexts(inst, i, space, rng):
@@ -162,7 +162,7 @@ def virtual_bidder_idm(
     and her win is no sale."""
     virtual = max(market.reports, default=0) + 1
     reports = dict(market.reports)
-    table = Valuation.from_pairs(market.m, {lot: reserve})
+    table = complete_table(market.m, {lot: reserve})
     reports[virtual] = BidderReport(virtual, table, frozenset())
     padded = AuctionInstance(market.m, market.seller_neighbors | {virtual}, reports)
     result = idm_run(padded, lot)
@@ -200,16 +200,16 @@ def two_round_showcase() -> AuctionInstance:
         11: frozenset(),
     }
     tables = {
-        1: Valuation.zero(m),
-        2: Valuation(m, (0, 4, 0, 4)),
-        3: Valuation(m, (0, 3, 9, 11)),
-        4: Valuation(m, (0, 3, 7, 11)),
-        5: Valuation(m, (0, 0, 6, 6)),
-        6: Valuation(m, (0, 0, 2, 2)),
-        7: Valuation(m, (0, 5, 0, 5)),
-        8: Valuation(m, (0, 0, 1, 1)),
-        9: Valuation.zero(m),
-        10: Valuation.zero(m),
-        11: Valuation.zero(m),
+        1: (0, 0, 0, 0),
+        2: (0, 4, 0, 4),
+        3: (0, 3, 9, 11),
+        4: (0, 3, 7, 11),
+        5: (0, 0, 6, 6),
+        6: (0, 0, 2, 2),
+        7: (0, 5, 0, 5),
+        8: (0, 0, 1, 1),
+        9: (0, 0, 0, 0),
+        10: (0, 0, 0, 0),
+        11: (0, 0, 0, 0),
     }
     return instance_from_parts(m, seller, out, tables)

@@ -19,7 +19,6 @@ from netauction.model import (
     BidderReport,
     MechanismConfig,
     Outcome,
-    Valuation,
     restrict_instance,
 )
 
@@ -182,7 +181,7 @@ def test_structure_depends_on_the_invitation_graph_alone():
         2,
         base.seller_neighbors,
         {
-            b: BidderReport(b, Valuation(2, (0, b, 1, b + 1)), r.neighbors)
+            b: BidderReport(b, (0, b, 1, b + 1), r.neighbors)
             for b, r in base.reports.items()
         },
         dict(base.reports),
@@ -205,7 +204,7 @@ def test_raw_instances_qualify_by_the_structure(data):
     reporting = data.draw(st.frozensets(ids, max_size=6))
     seller = data.draw(st.frozensets(ids, max_size=4))
     reports = {
-        i: BidderReport(i, Valuation.zero(1), data.draw(st.frozensets(ids, max_size=4)))
+        i: BidderReport(i, (0, 0), data.draw(st.frozensets(ids, max_size=4)))
         for i in sorted(reporting)
     }
     inst = AuctionInstance(1, seller, reports)

@@ -27,7 +27,6 @@ from netauction.model import (
     AuctionInstance,
     BidderReport,
     MechanismConfig,
-    Valuation,
     full_bundle,
     iter_subbundles,
 )
@@ -92,7 +91,7 @@ def ragged_network(rng):
     p = rng.choice((0.05, 0.15, 0.4))
     reports = {
         i: BidderReport(
-            i, Valuation.zero(1), frozenset(j for j in universe if rng.random() < p)
+            i, (0, 0), frozenset(j for j in universe if rng.random() < p)
         )
         for i in ids
     }
@@ -104,7 +103,7 @@ def test_split_matches_the_reference_on_every_small_digraph():
     for n in range(1, 4):
         for seller, out_edges in all_digraph_networks(n):
             inst = instance_from_parts(
-                1, seller, out_edges, dict.fromkeys(out_edges, Valuation.zero(1))
+                1, seller, out_edges, dict.fromkeys(out_edges, (0, 0))
             )
             assert graph_exploration_cdp(inst) == reference_exploration_cdp(inst)
 
@@ -130,7 +129,7 @@ def test_split_is_valuation_blind():
     loud = inst
     for k, i in enumerate(sorted(inst.reports)):
         loud = loud.with_report(
-            replace(loud.reports[i], valuation=Valuation(1, (0, 50 + k)))
+            replace(loud.reports[i], values=(0, 50 + k))
         )
     assert graph_exploration_cdp(loud) == baseline
 
@@ -162,14 +161,14 @@ def test_greedy_zero_value_candidate_picks_the_margin_bundle():
 
 
 def test_greedy_full_pool_when_prices_vanish():
-    table = Valuation(2, (0, 2, 3, 6))  # strictly increasing
+    table = (0, 2, 3, 6)  # strictly increasing
     inst = build_instance(2, {1}, {1: set()}, {1: table})
     tuples = greedy_bdp(inst, 0b11, (1,), lambda b: 0, lambda b: 0)
     assert tuples == (BundleTuple(0b11, 0b11),)
 
 
 def test_greedy_tie_prefers_fewer_items():
-    table = Valuation(2, (0, 4, 0, 4))  # the pair adds nothing over item 1
+    table = (0, 4, 0, 4)  # the pair adds nothing over item 1
     inst = build_instance(2, {1}, {1: set()}, {1: table})
     tuples = greedy_bdp(inst, 0b11, (1,), lambda b: 0, lambda b: 0)
     assert tuples == (BundleTuple(0b01, 0b01),)
@@ -201,7 +200,7 @@ def reference_greedy_bdp(residual_instance, remaining, candidates, pr, rev, ties
     tuples = {}
     pool = remaining
     for cand in sorted(candidates):
-        value = residual_instance.reports[cand].valuation.values
+        value = residual_instance.reports[cand].values
         best_resale, best_resale_score = 0, 0
         best_reserve, best_reserve_score = 0, 0
         for b in iter_subbundles(pool):
@@ -288,7 +287,7 @@ def test_drm_empty_network():
 
 
 def test_drm_single_neighbor_reserves_free():
-    inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
+    inst = build_instance(1, {1}, {1: set()}, {1: (0, 5)})
     outcome = drm(inst)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
@@ -346,12 +345,12 @@ def test_greedy_drm_seeds_no_generator(monkeypatch):
 def test_baseline_direct_second_price():
     inst = build_instance(
         1, {1, 2}, {1: set(), 2: set()},
-        {1: Valuation(1, (0, 3)), 2: Valuation(1, (0, 7))},
+        {1: (0, 3), 2: (0, 7)},
     )
     outcome = baseline_direct_second_price(inst, MechanismConfig())
     assert outcome.allocation[2] == 1
     assert outcome.payment[2] == 3
-    lone = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 3))})
+    lone = build_instance(1, {1}, {1: set()}, {1: (0, 3)})
     outcome = baseline_direct_second_price(lone, MechanismConfig())
     assert outcome.payment[1] == 0
     assert baseline_direct_second_price(
@@ -360,7 +359,7 @@ def test_baseline_direct_second_price():
     # A tie between direct neighbors goes to the lower id at the tied value.
     tie = build_instance(
         1, {2, 3}, {2: set(), 3: set()},
-        {2: Valuation(1, (0, 5)), 3: Valuation(1, (0, 5))},
+        {2: (0, 5), 3: (0, 5)},
     )
     outcome = baseline_direct_second_price(tie, MechanismConfig())
     assert outcome.allocation == {2: 1, 3: 0}
@@ -368,7 +367,7 @@ def test_baseline_direct_second_price():
     # No diffusion: bidder 3, invited by 1 and valued above all, is ignored.
     invited = build_instance(
         1, {1, 2}, {1: {3}, 2: set(), 3: set()},
-        {1: Valuation(1, (0, 4)), 2: Valuation(1, (0, 2)), 3: Valuation(1, (0, 9))},
+        {1: (0, 4), 2: (0, 2), 3: (0, 9)},
     )
     outcome = baseline_direct_second_price(invited, MechanismConfig())
     assert outcome.allocation == {1: 1, 2: 0, 3: 0}

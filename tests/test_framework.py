@@ -27,8 +27,8 @@ from netauction.model import (
     AuctionError,
     BidderReport,
     Outcome,
-    Valuation,
     bundle_from_items,
+    complete_table,
     full_bundle,
 )
 
@@ -51,7 +51,7 @@ def resell(instance, distributor, bundle_tuple, pr, rev, local=unfloored_idm):
 
 def tn_reports(values, m=1):
     return [
-        BidderReport(100 + k, Valuation.from_pairs(m, {full_bundle(m): v}), frozenset())
+        BidderReport(100 + k, complete_table(m, {full_bundle(m): v}), frozenset())
         for k, v in enumerate(values)
     ]
 
@@ -103,7 +103,7 @@ def test_pricing_matches_its_max_and_sorted_definitions():
                 for k in range(count)
             ]
             for bundle in range(1 << m):
-                values = [rep.valuation.values[bundle] for rep in reps]
+                values = [rep.values[bundle] for rep in reps]
                 assert resale_revenue_fn(reps, bundle) == max(values, default=0)
                 second = sorted(values, reverse=True)[1] if count >= 2 else 0
                 assert price_fn(reps, bundle) == second
@@ -112,8 +112,8 @@ def test_pricing_matches_its_max_and_sorted_definitions():
 def test_figure_style_prices():
     # the two price-setters value item b at 9 and 7, both items together at 11
     reps = [
-        BidderReport(3, Valuation(2, (0, 3, 9, 11)), frozenset()),
-        BidderReport(4, Valuation(2, (0, 3, 7, 11)), frozenset()),
+        BidderReport(3, (0, 3, 9, 11), frozenset()),
+        BidderReport(4, (0, 3, 7, 11), frozenset()),
     ]
     b = bundle_from_items([2])
     assert price_fn(reps, b) == 7
@@ -134,10 +134,10 @@ def dealer_market():
         {1, 4},
         {1: {2, 3}, 2: set(), 3: set(), 4: set()},
         {
-            1: Valuation(1, (0, 1)),
-            2: Valuation(1, (0, 5)),
-            3: Valuation(1, (0, 8)),
-            4: Valuation(1, (0, 2)),
+            1: (0, 1),
+            2: (0, 5),
+            3: (0, 8),
+            4: (0, 2),
         },
     )
 
@@ -169,7 +169,7 @@ def test_resale_failure_falls_to_reservation():
 
 def test_no_reach_reserves_quietly():
     inst = build_instance(
-        1, {6}, {6: set()}, {6: Valuation(1, (0, 4))}
+        1, {6}, {6: set()}, {6: (0, 4)}
     )
     pr = lambda b: 0
     rev = lambda b: 0
@@ -190,7 +190,7 @@ def test_reserve_floor_lifts_the_local_price():
     # single invitee valuing the item above the fixed resale revenue
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
-        {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 5))},
+        {2: (0, 1), 7: (0, 5)},
     )
     pr = lambda b: 3 if b else 0
     rev = lambda b: 3 if b else 0
@@ -206,7 +206,7 @@ def test_reserve_floor_lifts_the_local_price():
 def test_resale_revenue_is_read_once_with_or_without_a_floor():
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
-        {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 5))},
+        {2: (0, 1), 7: (0, 5)},
     )
     reads = []
 
@@ -223,7 +223,7 @@ def test_resale_revenue_is_read_once_with_or_without_a_floor():
 def test_top_value_below_the_reserve_floor_means_no_sale():
     inst = build_instance(
         1, {2}, {2: {7}, 7: set()},
-        {2: Valuation(1, (0, 1)), 7: Valuation(1, (0, 2))},
+        {2: (0, 1), 7: (0, 2)},
     )
     pr = lambda b: 3 if b else 0
     rev = lambda b: 5 if b else 0  # no local value reaches this floor
@@ -246,7 +246,7 @@ def test_empty_network_empty_outcome():
 
 
 def test_single_neighbor_reserves_at_zero():
-    inst = build_instance(1, {1}, {1: set()}, {1: Valuation(1, (0, 5))})
+    inst = build_instance(1, {1}, {1: set()}, {1: (0, 5)})
     outcome = engine_outcome(inst, mutants.trivial_cdp, greedy_bdp, unfloored_idm)
     assert outcome.allocation[1] == 1
     assert outcome.payment[1] == 0
@@ -342,7 +342,7 @@ def test_overlapping_tuples_rejected():
         engine_outcome(
             build_instance(
                 1, {1, 2}, {1: set(), 2: set(), 3: set()},
-                {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
+                {1: (0, 1), 2: (0, 1)},
             ),
             mutants.trivial_cdp,
             clashing_bdp,
@@ -374,7 +374,7 @@ def outside_pool_bdp(instance, remaining, candidates, pr, rev):
 def test_unsound_split_or_division_rejected(cdp, bdp, error, message):
     inst = build_instance(
         1, {1}, {1: {2}, 2: set()},
-        {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
+        {1: (0, 1), 2: (0, 1)},
     )
     with pytest.raises(error, match=message):
         dcaf_run_detailed(inst, cdp, bdp, unfloored_idm)
@@ -410,7 +410,7 @@ def test_wrong_number_of_tuples_rejected(resize):
 def test_unqualified_bidders_untouched_regardless_of_reports():
     inst = build_instance(
         1, {1}, {1: set(), 2: {3}, 3: set()},
-        {2: Valuation(1, (0, 9)), 3: Valuation(1, (0, 9))},
+        {2: (0, 9), 3: (0, 9)},
     )
     outcome = engine_outcome(inst, graph_exploration_cdp, greedy_bdp, unfloored_idm)
     assert outcome.allocation[2] == outcome.allocation[3] == 0
@@ -422,7 +422,7 @@ def test_unqualified_distributor_rejected():
     # has no dominator subtree; a split that names her is unsound.
     inst = build_instance(
         1, {1}, {1: set(), 2: set()},
-        {1: Valuation(1, (0, 1)), 2: Valuation(1, (0, 1))},
+        {1: (0, 1), 2: (0, 1)},
     )
 
     def unreachable_cdp(residual):

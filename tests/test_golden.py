@@ -61,7 +61,7 @@ def lab_family():
 
 
 def report_data(rep):
-    return [rep.bidder_id, list(rep.valuation.values), sorted(rep.neighbors)]
+    return [rep.bidder_id, list(rep.values), sorted(rep.neighbors)]
 
 
 def outcome_data(outcome):

@@ -16,7 +16,7 @@ from netauction.generate import (
     scalar_market,
 )
 from netauction.idm import idm_run
-from netauction.model import AuctionInstance, Valuation
+from netauction.model import AuctionInstance
 
 from reference import line_market_fixture, virtual_bidder_idm
 from test_critical import random_instance
@@ -27,7 +27,7 @@ def valued(instance, values):
     """The instance with one item, valued by each bidder at ``values[i]``
     (0 when unlisted)."""
     reports = {
-        i: replace(rep, valuation=Valuation(1, (0, values.get(i, 0))))
+        i: replace(rep, values=(0, values.get(i, 0)))
         for i, rep in instance.reports.items()
     }
     return AuctionInstance(1, instance.seller_neighbors, reports)
@@ -97,7 +97,7 @@ def test_revenue_identity_and_signs_on_random_markets():
             assert result.payment[i] <= 0
         assert result.payment[winner] >= 0
         # winner pays at most her bid (local individual rationality)
-        assert result.payment[winner] <= market.reports[winner].valuation.values[1]
+        assert result.payment[winner] <= market.reports[winner].values[1]
         # vstar never decreases along the sequence
         for a, b in zip(seq, seq[1:]):
             assert result.vstar[a] <= result.vstar[b]
@@ -138,7 +138,7 @@ def test_reserve_floor_matches_the_virtual_bidder_exhaustively():
     for n in range(1, 4):
         for seller, graph in all_digraph_networks(n):
             network = instance_from_parts(
-                1, seller, graph, {i: Valuation.zero(1) for i in graph}
+                1, seller, graph, {i: (0, 0) for i in graph}
             )
             for values in itertools.product(range(3), repeat=n):
                 market = valued(network, dict(zip(graph, values)))

@@ -30,7 +30,7 @@ def test_minimal_file():
     inst = parse_instance(MINIMAL)
     assert inst.m == 1
     assert set(all_critical_structures(inst).critical_nodes) == {1}
-    assert inst.reports[1].valuation.values[1] == 5
+    assert inst.reports[1].values[1] == 5
 
 
 def test_duplicate_bidder_id_rejected():
@@ -88,9 +88,9 @@ def test_envelope_completion_fills_unlisted_bundles():
                   "valuation": [[[1], 3], [[2], 5]]}]}
     """
     inst = parse_instance(text)
-    v = inst.reports[1].valuation
-    assert v.values[0b01] == 3 and v.values[0b10] == 5
-    assert v.values[0b11] == 5  # lower envelope: max over listed subsets
+    v = inst.reports[1].values
+    assert v[0b01] == 3 and v[0b10] == 5
+    assert v[0b11] == 5  # lower envelope: max over listed subsets
 
 
 def test_listed_non_monotone_value_still_rejected():
@@ -108,7 +108,7 @@ def test_unsorted_item_list_accepted():
     {"m": 2, "seller_neighbors": [1],
      "bidders": [{"id": 1, "neighbors": [], "valuation": [[[2, 1], 4]]}]}
     """
-    assert parse_instance(text).reports[1].valuation.values == (0, 0, 0, 4)
+    assert parse_instance(text).reports[1].values == (0, 0, 0, 4)
 
 
 def test_full_table_listing_accepted():
@@ -117,7 +117,7 @@ def test_full_table_listing_accepted():
      "bidders": [{"id": 1, "neighbors": [],
                   "valuation": [[[1], 3], [[2], 5], [[1, 2], 7]]}]}
     """
-    assert parse_instance(text).reports[1].valuation.values == (0, 3, 5, 7)
+    assert parse_instance(text).reports[1].values == (0, 3, 5, 7)
 
 
 def test_round_trip_on_generated_corpus():

@@ -34,7 +34,7 @@ from netauction.generate import (
     generate_instances,
     instance_from_parts,
 )
-from netauction.model import MechanismConfig, Valuation
+from netauction.model import MechanismConfig
 
 import mutants
 from reference import line_market_fixture, two_round_showcase
@@ -65,7 +65,7 @@ def rebuilt(instance, valuations, extra=()):
 
 def scaling_holds(mechanism, instance, k):
     scaled = rebuilt(instance, {
-        i: Valuation(instance.m, tuple(k * v for v in rep.valuation.values))
+        i: tuple(k * v for v in rep.values)
         for i, rep in instance.reports.items()
     })
     base, out = mechanism(instance), mechanism(scaled)
@@ -79,12 +79,12 @@ def uninvited_holds(mechanism, instance):
     other existing bidder, lowest id first; nobody invites her."""
     ids = sorted(instance.reports)
     newcomer = ids[-1] + 1
-    top = [max(rep.valuation.values[b] for rep in instance.reports.values())
+    top = [max(rep.values[b] for rep in instance.reports.values())
            for b in range(1 << instance.m)]
-    valuation = Valuation(instance.m, (0, *(v + 1 for v in top[1:])))
+    valuation = (0, *(v + 1 for v in top[1:]))
     grown = rebuilt(
         instance,
-        {i: rep.valuation for i, rep in instance.reports.items()},
+        {i: rep.values for i, rep in instance.reports.items()},
         [(newcomer, frozenset(ids[::2]), valuation)],
     )
     base, out = mechanism(instance), mechanism(grown)
@@ -103,7 +103,7 @@ def relabelling_holds(mechanism, instance, relabel):
         instance.m,
         map(relabel, instance.seller_neighbors),
         {relabel(r.bidder_id): map(relabel, r.neighbors) for r in reports},
-        {relabel(r.bidder_id): r.valuation for r in reports},
+        {relabel(r.bidder_id): r.values for r in reports},
     )
     base, out = mechanism(instance), mechanism(renamed)
     return out.allocation == {
@@ -125,8 +125,7 @@ def worthless_item_holds(mechanism, instance, lot_sold_whole):
         m + 1,
         instance.seller_neighbors,
         {i: rep.neighbors for i, rep in instance.reports.items()},
-        {i: Valuation(m + 1, rep.valuation.values * 2)
-         for i, rep in instance.reports.items()},
+        {i: rep.values * 2 for i, rep in instance.reports.items()},
     )
     base, out = mechanism(instance), mechanism(grown)
     if lot_sold_whole:

@@ -1,7 +1,6 @@
 """Model types, validation, qualification, and utility arithmetic."""
 
 import random
-import re
 from dataclasses import replace
 
 import pytest
@@ -15,9 +14,9 @@ from netauction.model import (
     InstanceValidationError,
     Outcome,
     UnknownBidder,
-    Valuation,
     bundle_from_items,
     bundle_items,
+    complete_table,
     full_bundle,
     iter_subbundles,
     restrict_instance,
@@ -31,7 +30,7 @@ from reference import closure_oracle
 def build_instance(m, seller, edges, tables=None):
     tables = tables or {}
     reports = {
-        i: BidderReport(i, tables.get(i, Valuation.zero(m)), frozenset(nbrs))
+        i: BidderReport(i, tables.get(i, (0,) * (1 << m)), frozenset(nbrs))
         for i, nbrs in edges.items()
     }
     return validate_instance(AuctionInstance(m, frozenset(seller), reports))
@@ -88,7 +87,7 @@ def reference_from_pairs(m, pairs):
         vals[mask] = pairs[mask] if mask in pairs else envelope
     if 0 in pairs:
         vals[0] = pairs[0]
-    return Valuation(m, tuple(vals))
+    return tuple(vals)
 
 
 def test_from_pairs_matches_the_reference_completion():
@@ -105,17 +104,7 @@ def test_from_pairs_matches_the_reference_completion():
                 {b: rng.randint(0, 50) for b in masks if rng.random() < share}
             )
         for pairs in listings:
-            assert Valuation.from_pairs(m, pairs) == reference_from_pairs(m, pairs)
-
-
-@pytest.mark.parametrize("m, values, message", [
-    (1, (0, 1, 2), "table has 3 entries, expected 2"),
-    (-1, (), "item count -1 outside 0..16"),
-    (17, (), "item count 17 outside 0..16"),
-], ids=["wrong-length", "m-negative", "m-17"])
-def test_valuation_rejects_a_table_of_the_wrong_shape(m, values, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        Valuation(m, values)
+            assert complete_table(m, pairs) == reference_from_pairs(m, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +113,13 @@ def test_valuation_rejects_a_table_of_the_wrong_shape(m, values, message):
 
 
 def test_monotone_table_accepted():
-    v = Valuation(2, (0, 3, 5, 7))
+    v = (0, 3, 5, 7)
     inst = build_instance(2, {1}, {1: set()}, {1: v})
-    assert inst.reports[1].valuation.values[0b11] == 7
+    assert inst.reports[1].values[0b11] == 7
 
 
 def test_non_monotone_rejected():
-    v = Valuation(2, (0, 5, 0, 3))  # {1} worth 5 but {1,2} worth 3
+    v = (0, 5, 0, 3)  # {1} worth 5 but {1,2} worth 3
     with pytest.raises(InstanceValidationError) as err:
         build_instance(2, {1}, {1: set()}, {1: v})
     assert err.value.violations == [
@@ -146,7 +135,7 @@ def test_self_loop_rejected():
 
 def test_nonzero_empty_bundle_rejected():
     with pytest.raises(InstanceValidationError):
-        build_instance(1, {1}, {1: set()}, {1: Valuation(1, (2, 5))})
+        build_instance(1, {1}, {1: set()}, {1: (2, 5)})
 
 
 def test_all_violations_reported_together():
@@ -154,9 +143,9 @@ def test_all_violations_reported_together():
     non_monotone = "bidder 1: value of {} exceeds value of superset {1}"
     for bad_v, expected in (
         # nonzero empty bundle and non-monotone
-        (Valuation(1, (1, 0)), "bidder 1: empty bundle valued at 1, must be 0"),
+        ((1, 0), "bidder 1: empty bundle valued at 1, must be 0"),
         # negative value, so below the empty bundle too
-        (Valuation(1, (0, -2)), "bidder 1: negative value -2 for {1}"),
+        ((0, -2), "bidder 1: negative value -2 for {1}"),
     ):
         with pytest.raises(InstanceValidationError) as err:
             build_instance(1, {1}, {1: {1}}, {1: bad_v})
@@ -165,8 +154,8 @@ def test_all_violations_reported_together():
 
 
 def test_report_filed_under_another_bidders_key_rejected():
-    other = BidderReport(2, Valuation(1, (0, 5)), frozenset())
-    own = BidderReport(1, Valuation(1, (0, 5)), frozenset())
+    other = BidderReport(2, (0, 5), frozenset())
+    own = BidderReport(1, (0, 5), frozenset())
     wrong = "bidder 1 holds a report for bidder 2"
     # A truth entry that is the report itself is walked once; a report
     # filed under two keys has its key checked under each.
@@ -182,8 +171,8 @@ def test_report_filed_under_another_bidders_key_rejected():
 
 
 def test_truth_entry_that_is_the_report_is_checked_once():
-    bad = BidderReport(1, Valuation(1, (1, 0)), frozenset())  # non-monotone
-    copy = replace(bad, valuation=bad.valuation)  # equal, but another object
+    bad = BidderReport(1, (1, 0), frozenset())  # non-monotone
+    copy = replace(bad, values=bad.values)  # equal, but another object
     for truth_rep, listed in ((bad, 1), (copy, 2)):
         with pytest.raises(InstanceValidationError) as err:
             validate_instance(
@@ -197,7 +186,7 @@ def test_absent_bidders_materialized_with_zero_reports():
     inst = build_instance(1, {1}, {1: {2}})  # bidder 2 never reported
     assert 2 in inst.reports
     assert inst.reports[2].neighbors == frozenset()
-    assert inst.reports[2].valuation.values[1] == 0
+    assert inst.reports[2].values[1] == 0
 
 
 @pytest.mark.parametrize(
@@ -207,7 +196,7 @@ def test_absent_bidders_materialized_with_zero_reports():
     ids=["seller-str", "bidder-str", "bidder-zero", "seller-bool", "bidder-bool"],
 )
 def test_invalid_id_reported_once_under_its_inviter(seller, edges, inviter, bad):
-    v = Valuation.zero(1)
+    v = (0, 0)
     reports = {i: BidderReport(i, v, frozenset(nbrs)) for i, nbrs in edges.items()}
     with pytest.raises(InstanceValidationError) as err:
         validate_instance(AuctionInstance(1, frozenset(seller), reports))
@@ -218,43 +207,51 @@ def test_invalid_id_reported_once_under_its_inviter(seller, edges, inviter, bad)
 def test_invalid_bidder_id_reported_as_such():
     # True passes an isinstance(bid, int) test but serializes as JSON true
     for bid in (0, True):
-        reports = {bid: BidderReport(bid, Valuation.zero(1), frozenset())}
+        reports = {bid: BidderReport(bid, (0, 0), frozenset())}
         with pytest.raises(InstanceValidationError) as err:
             validate_instance(AuctionInstance(1, frozenset(), reports))
         assert err.value.violations == [f"bidder id {bid} is not a positive integer"]
 
 
 def test_valuation_must_cover_the_instance_items():
-    short = BidderReport(1, Valuation(1, (0, 5)), frozenset())
-    fitting = BidderReport(1, Valuation(2, (0, 5, 0, 5)), frozenset())
-    # A truth entry that is the report itself is checked once.
-    for reports, truth, listed in (
-        ({1: short}, None, 1), ({1: short}, {1: short}, 1),
-        ({1: fitting}, {1: short}, 1), ({1: short}, {1: short.with_neighbors(())}, 2),
-    ):
-        with pytest.raises(InstanceValidationError) as err:
-            validate_instance(AuctionInstance(2, frozenset({1}), reports, truth))
-        assert err.value.violations == (
-            ["bidder 1: valuation over 1 item(s), not 2"] * listed
+    fitting = BidderReport(1, (0, 5, 0, 5), frozenset())
+    # Tables too short, of no power-of-two length and too long; the empty
+    # one would fail the empty-bundle check by indexing if it were reached.
+    for table in ((), (0, 5), (0, 5, 0), (0, 5, 0, 5) * 2):
+        bad = BidderReport(1, table, frozenset())
+        wrong = f"bidder 1: table has {len(table)} entries, expected 4"
+        # A truth entry that is the report itself is checked once.
+        for reports, truth, listed in (
+            ({1: bad}, None, 1), ({1: bad}, {1: bad}, 1),
+            ({1: fitting}, {1: bad}, 1), ({1: bad}, {1: bad.with_neighbors(())}, 2),
+        ):
+            with pytest.raises(InstanceValidationError) as err:
+                validate_instance(AuctionInstance(2, frozenset({1}), reports, truth))
+            assert err.value.violations == [wrong] * listed
+    # The report's neighbors are still checked.
+    with pytest.raises(InstanceValidationError) as err:
+        validate_instance(
+            AuctionInstance(2, frozenset({1}), {1: bad.with_neighbors({1})})
         )
+    assert err.value.violations == [wrong, "bidder 1 lists itself as a neighbor"]
 
 
 def test_item_count_beyond_the_limit_rejected():
-    with pytest.raises(InstanceValidationError) as err:
-        validate_instance(AuctionInstance(17, frozenset(), {}))
-    assert err.value.violations == ["item count 17 outside 0..16"]
+    for m in (-1, 17):
+        with pytest.raises(InstanceValidationError) as err:
+            validate_instance(AuctionInstance(m, frozenset(), {}))
+        assert err.value.violations == [f"item count {m} outside 0..16"]
 
 
 def _report(bid, values=(0, 0), neighbors=()):
-    m = len(values).bit_length() - 1
-    return BidderReport(bid, Valuation(m, values), frozenset(neighbors))
+    return BidderReport(bid, values, frozenset(neighbors))
 
 
 # One invalid instance per issue validate_instance can raise, and its exact text.
 ISSUE_MESSAGES = [
     (AuctionInstance(17, frozenset(), {}), ["item count 17 outside 0..16"]),
     (AuctionInstance(2, frozenset({1}), {1: _report(1)}),
-     ["bidder 1: valuation over 1 item(s), not 2"]),
+     ["bidder 1: table has 2 entries, expected 4"]),
     (AuctionInstance(1, frozenset({1}), {1: _report(1, (2, 5))}),
      ["bidder 1: empty bundle valued at 2, must be 0"]),
     (AuctionInstance(1, frozenset({1}), {1: _report(1, (0, -2))}),
@@ -292,7 +289,7 @@ def test_every_issue_has_its_exact_message(instance, messages):
 
 
 def test_reported_neighbors_must_lie_inside_truth():
-    v = Valuation.zero(1)
+    v = (0, 0)
     reports = {1: BidderReport(1, v, frozenset({2})), 2: BidderReport(2, v, frozenset())}
     truth = {1: BidderReport(1, v, frozenset()), 2: BidderReport(2, v, frozenset())}
     with pytest.raises(InstanceValidationError):
@@ -320,7 +317,7 @@ def test_planted_monotonicity_violation_always_caught(data):
     strict_subs = [s for s in range(mask) if s | mask == mask]
     sub = data.draw(st.sampled_from(strict_subs))
     base[sub] = base[mask] + 1
-    table = Valuation(m, tuple(base))
+    table = tuple(base)
     if sub == 0:
         with pytest.raises(InstanceValidationError):
             build_instance(m, {1}, {1: set()}, {1: table})
@@ -379,7 +376,7 @@ def test_qualified_equals_closure_oracle_on_random_digraphs(data):
 
 
 def test_utility_examples():
-    rep = BidderReport(1, Valuation(1, (0, 5)), frozenset())
+    rep = BidderReport(1, (0, 5), frozenset())
     empty = Outcome({1: 0}, {1: 0})
     assert utility(rep, empty, 1) == 0
     won = Outcome({1: 1}, {1: 3})
@@ -394,7 +391,7 @@ def test_utility_examples():
     value=st.integers(0, 50), payment=st.integers(-50, 50), delta=st.integers(-20, 20)
 )
 def test_utility_linear_in_payment(value, payment, delta):
-    rep = BidderReport(1, Valuation(1, (0, value)), frozenset())
+    rep = BidderReport(1, (0, value), frozenset())
     base = Outcome({1: 1}, {1: payment})
     shifted = Outcome({1: 1}, {1: payment + delta})
     assert utility(rep, shifted, 1) == utility(rep, base, 1) - delta
@@ -409,7 +406,7 @@ def test_restrict_identity():
     assert all(same.reports[b] is inst.reports[b] for b in inst.reports)
     cut = restrict_instance(inst, {1}, {1})
     assert cut.reports[1] is not inst.reports[1]
-    assert cut.reports[1] == BidderReport(1, inst.reports[1].valuation, frozenset())
+    assert cut.reports[1] == BidderReport(1, inst.reports[1].values, frozenset())
 
 
 def test_restrict_to_empty():

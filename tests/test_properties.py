@@ -41,7 +41,8 @@ from netauction.model import (
     MechanismConfig,
     Outcome,
     UnknownBidder,
-    Valuation,
+    complete_table,
+    monotonicity_violation,
     utility,
 )
 from netauction.properties import (
@@ -95,8 +96,8 @@ def test_monotone_table_counts():
     # m=2, values 0..3: free choice of singles, pair at least their max
     assert len(monotone_tables(2, 3)) == 30
     for table in monotone_tables(2, 3):
-        assert table.monotonicity_violation() is None
-        assert table.values[0] == 0
+        assert monotonicity_violation(table) is None
+        assert table[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def stream(enumerate_deviations, seed):
 # down to one draw (so both the exhaustive and the sampled path run) and
 # two seeds.
 STREAM_TRUTHS = [
-    BidderReport(1, Valuation.from_pairs(m, {(1 << m) - 1: 2}), frozenset(range(2, k)))
+    (m, BidderReport(1, complete_table(m, {(1 << m) - 1: 2}), frozenset(range(2, k))))
     for m in (1, 2)
     for k in (2, 3, 5, 8)
 ]
@@ -155,13 +156,13 @@ STREAM_CASES = list(itertools.product(STREAM_TRUTHS, [4096, 40, 5, 1], (0, 11)))
 @pytest.mark.parametrize("v_max", [1, 2, 3])
 def test_deviations_keep_the_ic_and_rc_stream(v_max):
     clipped_flags = set()
-    for truth, budget, seed in STREAM_CASES:
+    for (m, truth), budget, seed in STREAM_CASES:
         space = DeviationSpace(v_max=v_max, budget=budget)
-        tables = monotone_tables(truth.valuation.m, v_max)
+        tables = monotone_tables(m, v_max)
         merged = stream(lambda rng: _deviations(truth, tables, space, rng), seed)
         assert merged == stream(
             lambda rng: reference_unilateral_deviations(
-                truth, truth.valuation.m, space, rng
+                truth, m, space, rng
             ),
             seed,
         )
@@ -171,9 +172,9 @@ def test_deviations_keep_the_ic_and_rc_stream(v_max):
 
 def test_deviations_keep_the_ir_stream():
     clipped_flags = set()
-    for truth, budget, seed in STREAM_CASES:
+    for (_, truth), budget, seed in STREAM_CASES:
         space = DeviationSpace(budget=budget)
-        tables = (truth.valuation,)
+        tables = (truth.values,)
         merged = stream(lambda rng: _deviations(truth, tables, space, rng), seed)
         assert merged == stream(
             lambda rng: reference_neighbor_deviations(truth, space, rng), seed
@@ -353,13 +354,13 @@ def test_drm_ic_gap_by_value_misreport_when_others_misreport():
     )[22]
     assert instance.m == 2 and instance.seller_neighbors == {1, 2}
     context = (
-        BidderReport(2, Valuation(2, (0, 0, 3, 3)), frozenset()),
-        BidderReport(3, Valuation(2, (0, 2, 1, 2)), frozenset({1, 5})),
-        BidderReport(4, Valuation(2, (0, 2, 0, 2)), frozenset()),
-        BidderReport(5, Valuation(2, (0, 0, 0, 2)), frozenset({4})),
+        BidderReport(2, (0, 0, 3, 3), frozenset()),
+        BidderReport(3, (0, 2, 1, 2), frozenset({1, 5})),
+        BidderReport(4, (0, 2, 0, 2), frozenset()),
+        BidderReport(5, (0, 0, 0, 2), frozenset({4})),
     )
     true_neighbors = instance.ground_truth[1].neighbors
-    deviation = BidderReport(1, Valuation(2, (0, 0, 0, 1)), true_neighbors)
+    deviation = BidderReport(1, (0, 0, 0, 1), true_neighbors)
     witness = Violation("IC", instance, 1, deviation, 3, context)
     assert deviation.neighbors == true_neighbors == {5}
     assert replay_violation(drm, witness) == 3
@@ -384,8 +385,7 @@ def test_drm_ic_gap_by_value_misreport_with_others_truthful():
 
     instance = instance_from_parts(
         2, {1, 2}, {1: {3}, 2: (), 3: ()},
-        {1: Valuation(2, (0, 0, 1, 1)), 2: Valuation(2, (0, 0, 0, 1)),
-         3: Valuation.zero(2)},
+        {1: (0, 0, 1, 1), 2: (0, 0, 0, 1), 3: (0, 0, 0, 0)},
     )
     result = check_ic(drm, [instance], DeviationSpace(v_max=2))
     assert (result.cases, len(result.violations)) == (59, 13)
@@ -409,7 +409,7 @@ def test_bdp_level_locality_still_holds_on_the_gap_instance():
 
 
 def test_rdm_checkers_count_an_instance_without_seller_invitations():
-    uninvited = instance_from_parts(1, (), {1: ()}, {1: Valuation.zero(1)})
+    uninvited = instance_from_parts(1, (), {1: ()}, {1: (0, 0)})
     for result in (
         check_bdp_locality(greedy_bdp, [uninvited]),
         check_rdm_end_to_end(drm, [uninvited]),
@@ -516,7 +516,7 @@ def reference_cdp_consistency(cdp, networks):
     split call."""
     result = CheckResult("CDC", "exhaustive")
     lattices = {}
-    probe_table = Valuation.from_pairs(1, {1: 7})
+    probe_table = (0, 7)
 
     def flag(inst, i, deviation, note):
         result.violations.append(Violation("CDC", inst, i, deviation, 0, note=note))
@@ -524,7 +524,7 @@ def reference_cdp_consistency(cdp, networks):
     for seller, out_edges in networks:
         result.instances += 1
         inst = instance_from_parts(
-            1, seller, out_edges, dict.fromkeys(out_edges, Valuation.zero(1))
+            1, seller, out_edges, dict.fromkeys(out_edges, (0, 0))
         )
         for i, true_neighbors in out_edges.items():
             if true_neighbors not in lattices:
@@ -536,7 +536,7 @@ def reference_cdp_consistency(cdp, networks):
                 part = cdp(inst.with_report(rep.with_neighbors(sub)))
                 splits.append((frozenset(part.candidates), part.non_trading))
             full = splits[-1]
-            probe = replace(rep, valuation=probe_table)
+            probe = replace(rep, values=probe_table)
             bumped = cdp(inst.with_report(probe))
             result.cases += len(subs) + 1
             if (frozenset(bumped.candidates), bumped.non_trading) != full:
@@ -563,7 +563,7 @@ def recording_cdp(log):
     set and every (bidder, neighbors, valuation), read at call time."""
     def cdp(inst):
         log.append((inst.seller_neighbors, tuple(
-            (i, rep.neighbors, rep.valuation) for i, rep in sorted(inst.reports.items())
+            (i, rep.neighbors, rep.values) for i, rep in sorted(inst.reports.items())
         )))
         return graph_exploration_cdp(inst)
     return cdp
@@ -604,8 +604,8 @@ def locality_trap_instance():
         {1, 2, 3, 4},
         {1: {5}, 2: {7, 8}, 3: set(), 4: set(), 5: set(), 7: set(), 8: set()},
         {
-            1: Valuation(1, (0, 2)),
-            2: Valuation(1, (0, 3)),
+            1: (0, 2),
+            2: (0, 3),
         },
     )
 
@@ -678,7 +678,7 @@ def test_generate_is_deterministic_and_valid():
     for inst in first:
         assert inst.ground_truth == inst.reports
         for rep in inst.reports.values():
-            assert rep.valuation.monotonicity_violation() is None
+            assert monotonicity_violation(rep.values) is None
 
 
 def test_generate_all_models():
@@ -729,7 +729,7 @@ def insertion_ordered_instance(order):
     values = {1: 3, 2: 5, 9: 4, 10: 6}
     edges = {1: (2, 10), 2: (9,), 9: (), 10: (1, 9)}
     reports = {
-        i: BidderReport(i, Valuation(1, (0, values[i])), frozenset(order(edges[i])))
+        i: BidderReport(i, (0, values[i]), frozenset(order(edges[i])))
         for i in edges
     }
     return AuctionInstance(1, frozenset({1}), reports, dict(reports))
@@ -803,7 +803,7 @@ def paying_by(read):
     an outcome depends on the deviator's table only through ``read``."""
 
     def mechanism(instance):
-        payment = {i: -read(rep.valuation.values) for i, rep in instance.reports.items()}
+        payment = {i: -read(rep.values) for i, rep in instance.reports.items()}
         return Outcome(dict.fromkeys(instance.reports, 0), payment)
 
     return mechanism
@@ -814,6 +814,7 @@ WHOLE_TABLE_READS = {
     "slicing": lambda values: sum(values[1:]),
     "equality": lambda values: int(values == (0,) * len(values)),
     "hashing": lambda values: hash(values) % 5,
+    "length": lambda values: values[len(values) - 1],
 }
 
 
@@ -830,7 +831,7 @@ def test_memo_never_reuses_a_run_that_read_the_table_whole(read):
 
 def read_every_empty_bundle(instance):
     for rep in instance.reports.values():
-        rep.valuation.values[0]
+        rep.values[0]
     return idm_standalone(instance)
 
 
