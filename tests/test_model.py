@@ -236,6 +236,18 @@ def test_valuation_must_cover_the_instance_items():
     assert err.value.violations == [wrong, "bidder 1 lists itself as a neighbor"]
 
 
+@pytest.mark.parametrize("m, values, message", [
+    (1, (0, 1, 2), "bidder 1: table has 3 entries, expected 2"),
+    (-1, (), "item count -1 outside 0..16"),
+    (17, (), "item count 17 outside 0..16"),
+], ids=["wrong-length", "m-negative", "m-17"])
+def test_valuation_rejects_a_table_of_the_wrong_shape(m, values, message):
+    report = BidderReport(1, values, frozenset())
+    with pytest.raises(InstanceValidationError) as err:
+        validate_instance(AuctionInstance(m, frozenset({1}), {1: report}))
+    assert err.value.violations == [message]
+
+
 def test_item_count_beyond_the_limit_rejected():
     for m in (-1, 17):
         with pytest.raises(InstanceValidationError) as err:
