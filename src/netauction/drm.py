@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 from .framework import (
     BoundPrice,
     BundleTuple,
-    DistributorPartition,
     dcaf_run_detailed,
     DcafRun,
 )
@@ -52,7 +51,9 @@ class TooManyItems(AuctionError):
 # ---------------------------------------------------------------------------
 
 
-def graph_exploration_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+def graph_exploration_cdp(
+    residual_instance: AuctionInstance,
+) -> tuple[tuple[int, ...], frozenset[int]]:
     """Explore outward from the frontier (the residual instance's seller
     invitations), repeatedly sending the top half of each newly discovered
     layer (by reported degree, ties to the lower id) to the candidate side
@@ -81,7 +82,7 @@ def graph_exploration_cdp(residual_instance: AuctionInstance) -> DistributorPart
             for j in reports[i].neighbors
             if j in reports and j not in classified
         }
-    return DistributorPartition(tuple(candidates), frozenset(non_trading))
+    return tuple(candidates), frozenset(non_trading)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,11 @@ from .model import (
 )
 
 BoundPrice = Callable[[Bundle], Money]
-# A split of the residual instance, whose seller invitations are the frontier.
+# A split of the residual instance, whose seller invitations are the frontier:
+# the pair (candidates in classification order, frozenset of price setters).
 # It must neither keep nor mutate the instance it is handed: the candidacy
 # checker reuses one instance across calls, changing one report in between.
-Cdp = Callable[[AuctionInstance], "DistributorPartition"]
+Cdp = Callable[[AuctionInstance], tuple[tuple[int, ...], frozenset[int]]]
 Bdp = Callable[[AuctionInstance, Bundle, Sequence[int], BoundPrice, BoundPrice],
                tuple["BundleTuple", ...]]
 # A local single-item market: (market, lot, reserve price) -> an outcome with
@@ -47,19 +48,6 @@ SingleItemMech = Callable[[AuctionInstance, Bundle, Money], Outcome]
 
 class InvalidTuple(AuctionError):
     pass
-
-
-@dataclass(frozen=True)
-class DistributorPartition:
-    """CDP output: candidate distributors (in classification order) and the
-    non-trading bidders whose reports set prices."""
-
-    candidates: tuple[int, ...]
-    non_trading: frozenset[int]
-
-    def __post_init__(self):
-        if not self.non_trading.isdisjoint(self.candidates):
-            raise InvalidTuple("candidate and non-trading sets overlap")
 
 
 @dataclass(frozen=True)
@@ -79,26 +67,19 @@ class BundleTuple:
 
 class RoundState(NamedTuple):
     """One engine round as the loop saw it: the residual instance, the CDP's
-    split, the BDP's tuples and, per candidate, whether she resold.  The id
-    views below are the split's, read off as tuples."""
+    candidates in classification order, the price setters in ascending id
+    order, the BDP's tuples and, per candidate, whether she resold."""
 
     index: int
     residual: AuctionInstance
-    partition: DistributorPartition
+    candidates: tuple[int, ...]
+    non_trading: tuple[int, ...]
     tuples: tuple[BundleTuple, ...]
     resold: tuple[bool, ...]
     intake: Money
     items_before: Bundle
     items_after: Bundle
     removed: frozenset[int]
-
-    @property
-    def candidates(self) -> tuple[int, ...]:
-        return self.partition.candidates
-
-    @property
-    def non_trading(self) -> tuple[int, ...]:
-        return tuple(sorted(self.partition.non_trading))
 
 
 @dataclass(frozen=True)
@@ -135,13 +116,14 @@ PRICING = {"second-first": (price_fn, resale_revenue_fn)}
 
 
 def round_prices(
-    residual: AuctionInstance, partition: DistributorPartition
+    residual: AuctionInstance, non_trading: Sequence[int]
 ) -> tuple[BoundPrice, BoundPrice]:
     """A round's bundle price and resale revenue: both pricing rules bound to
-    one list of the non-traders' reports, in id order."""
+    one list of the non-traders' reports, in the order given (ascending ids
+    in the engine)."""
     # Looked up per call, not bound at import: bench/tracing.py swaps the entry.
     pr_fn, rev_fn = PRICING["second-first"]
-    tn_reports = [residual.reports[j] for j in sorted(partition.non_trading)]
+    tn_reports = [residual.reports[j] for j in non_trading]
     return partial(pr_fn, tn_reports), partial(rev_fn, tn_reports)
 
 
@@ -228,17 +210,20 @@ def dcaf_run_detailed(
 
     while remaining and alive and frontier:
         residual = restrict_instance(instance, alive, frontier)
-        partition = cdp(residual)
-        pr, rev = round_prices(residual, partition)
-        tuples = bdp(residual, remaining, partition.candidates, pr, rev)
-        _check_tuples(tuples, len(partition.candidates), remaining)
+        candidates, non_trading = cdp(residual)
+        if not non_trading.isdisjoint(candidates):
+            raise InvalidTuple("candidate and non-trading sets overlap")
+        price_setters = tuple(sorted(non_trading))
+        pr, rev = round_prices(residual, price_setters)
+        tuples = bdp(residual, remaining, candidates, pr, rev)
+        _check_tuples(tuples, len(candidates), remaining)
 
         structure = all_critical_structures(residual)
         claimed: set[int] = set()
         intake = 0
         sold = 0
         resold_flags = []
-        for cand, tup in zip(partition.candidates, tuples):
+        for cand, tup in zip(candidates, tuples):
             if cand not in structure.critical_children:
                 raise Unqualified(cand)
             reach = structure.critical_children[cand]
@@ -259,10 +244,10 @@ def dcaf_run_detailed(
             intake += result.seller_revenue
             resold_flags.append(result.resold)
 
-        removed = frozenset(claimed | partition.non_trading)
+        removed = frozenset(claimed | non_trading)
         rounds.append(RoundState(
-            len(rounds), residual, partition, tuples, tuple(resold_flags),
-            intake, remaining, remaining & ~sold, removed,
+            len(rounds), residual, candidates, price_setters, tuples,
+            tuple(resold_flags), intake, remaining, remaining & ~sold, removed,
         ))
         alive -= removed
         remaining &= ~sold

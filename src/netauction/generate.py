@@ -87,32 +87,20 @@ def monotone_tables(m: int, v_max: int) -> tuple[tuple[Money, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def line_edges(n: int) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
-    seller = frozenset({1} if n else ())
-    out = {i: frozenset({i + 1}) if i < n else frozenset() for i in range(1, n + 1)}
-    return seller, out
+# Each topology is a parent rule: the bidder who invites bidder j >= 2.
+TOPOLOGIES = {"line": lambda j: j - 1, "star": lambda j: 1, "branch": lambda j: j // 2}
 
 
-def star_edges(n: int) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
-    """Seller reaches a hub bidder who invites everyone else."""
-    seller = frozenset({1} if n else ())
-    out = {i: frozenset() for i in range(1, n + 1)}
-    if n > 1:
-        out[1] = frozenset(range(2, n + 1))
-    return seller, out
-
-
-def branch_edges(n: int) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
-    """Binary-tree invitations: bidder ``i`` invites ``2i`` and ``2i+1``."""
-    seller = frozenset({1} if n else ())
-    out = {
-        i: frozenset(c for c in (2 * i, 2 * i + 1) if c <= n)
-        for i in range(1, n + 1)
-    }
-    return seller, out
-
-
-TOPOLOGIES = {"line": line_edges, "star": star_edges, "branch": branch_edges}
+def topology_edges(
+    kind: str, n: int
+) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
+    """The seller invites bidder 1, and each bidder ``2..n`` is invited by her
+    topology's parent: a line, a star around bidder 1 or a binary tree."""
+    parent = TOPOLOGIES[kind]
+    out = {i: set() for i in range(1, n + 1)}
+    for j in range(2, n + 1):
+        out[parent(j)].add(j)
+    return frozenset({1} if n else ()), {i: frozenset(s) for i, s in out.items()}
 
 
 def instance_from_parts(
@@ -136,7 +124,7 @@ def scalar_market(
     """A topology instance whose bidders value the full lot of ``m`` items
     at the given scalars and every smaller bundle at 0 (all-or-nothing)."""
     n = len(values)
-    seller, out = TOPOLOGIES[kind](n)
+    seller, out = topology_edges(kind, n)
     tables = {
         i: complete_table(m, {(1 << m) - 1: values[i - 1]})
         for i in range(1, n + 1)
@@ -154,7 +142,7 @@ def _random_edges(
 ) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
     n = spec.n
     if spec.graph_model in TOPOLOGIES:
-        return TOPOLOGIES[spec.graph_model](n)
+        return topology_edges(spec.graph_model, n)
     out = {i: set() for i in range(1, n + 1)}
     if spec.graph_model == "random-tree-plus-edges":
         order = list(range(1, n + 1))
@@ -309,7 +297,7 @@ def topology_family(
     seen = set()
     for kind in kinds:
         for n in range(1, max_n + 1):
-            key_base = TOPOLOGIES[kind](n)
+            key_base = topology_edges(kind, n)
             dedupe = (key_base[0], tuple(sorted(key_base[1].items())))
             if dedupe in seen:
                 continue

@@ -387,7 +387,9 @@ def check_cdp_consistency(
 
     Also probes the split's type contract (a candidate split is a function
     of invitation reports alone) by bumping one value table at a time and
-    requiring bitwise-identical output.
+    requiring the same split.  The sweep reads only a split's memberships,
+    its candidate set and its non-trading set, so a split whose two sides
+    overlap is the round engine's error, not a finding here.
 
     Each bidder costs one split call per neighbor subset plus one for the
     probe, and no copy: each network gets one scratch instance (no ground
@@ -428,8 +430,8 @@ def check_cdp_consistency(
             splits = []
             for dev in devs:
                 reports[i] = dev
-                part = cdp(scratch)
-                splits.append((frozenset(part.candidates), part.non_trading))
+                candidates, non_trading = cdp(scratch)
+                splits.append((frozenset(candidates), non_trading))
             reports[i] = devs[-2]
             result.cases += len(devs)
             bumped = splits.pop()
@@ -464,17 +466,17 @@ def check_bdp_locality(bdp: Bdp, instances: Iterable[AuctionInstance]) -> CheckR
         result.instances += 1
         if not inst.seller_neighbors:
             continue
-        partition = graph_exploration_cdp(inst)
-        pr, rev = round_prices(inst, partition)
+        candidates, non_trading = graph_exploration_cdp(inst)
+        pr, rev = round_prices(inst, sorted(non_trading))
         pool = full_bundle(inst.m)
-        baseline = bdp(inst, pool, partition.candidates, pr, rev)
+        baseline = bdp(inst, pool, candidates, pr, rev)
         result.cases += 1
-        for i in partition.candidates:
+        for i in candidates:
             rep = inst.reports[i]
             for sub in all_subsets(rep.neighbors):
                 varied = bdp(
                     inst.with_report(rep.with_neighbors(sub)),
-                    pool, partition.candidates, pr, rev,
+                    pool, candidates, pr, rev,
                 )
                 result.cases += 1
                 if varied != baseline:

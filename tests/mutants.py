@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from netauction.critical import all_critical_structures
 from netauction.drm import graph_exploration_cdp
-from netauction.framework import BundleTuple, DistributorPartition
+from netauction.framework import BundleTuple
 from netauction.idm import idm_run
 from netauction.model import (
     AuctionInstance,
@@ -25,6 +25,9 @@ from netauction.model import (
     full_bundle,
     iter_subbundles,
 )
+
+# A split: candidates in classification order and the price setters.
+Split = tuple[tuple[int, ...], frozenset[int]]
 
 
 def qualified_second_price(
@@ -84,17 +87,17 @@ def parity_tied_second_price(instance: AuctionInstance) -> Outcome:
     return qualified_second_price(instance, tie=lambda i: (i % 2, i))
 
 
-def trivial_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+def trivial_cdp(residual_instance: AuctionInstance) -> Split:
     """Every frontier bidder (a reporting seller invitee of the residual
     instance) becomes a candidate; nobody prices bundles."""
     reports = residual_instance.reports
     present = sorted(i for i in residual_instance.seller_neighbors if i in reports)
-    return DistributorPartition(tuple(present), frozenset())
+    return tuple(present), frozenset()
 
 
 def _ranked_exploration(
     residual_instance: AuctionInstance, rank: Callable
-) -> DistributorPartition:
+) -> Split:
     """Graph exploration that puts each layer's better-ranked half (by the
     ``rank`` key) in the candidate set."""
     reports = residual_instance.reports
@@ -113,10 +116,10 @@ def _ranked_exploration(
             discovered |= reports[j].neighbors
         discovered &= set(reports)
         layer = sorted(discovered - classified)
-    return DistributorPartition(tuple(candidates), frozenset(non_trading))
+    return tuple(candidates), frozenset(non_trading)
 
 
-def ascending_degree_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+def ascending_degree_cdp(residual_instance: AuctionInstance) -> Split:
     """Graph exploration with the ranking inverted (fewest invitations
     first): a candidate who reports more neighbors can fall out of the
     candidate set."""
@@ -126,7 +129,7 @@ def ascending_degree_cdp(residual_instance: AuctionInstance) -> DistributorParti
     )
 
 
-def valuation_ranked_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+def valuation_ranked_cdp(residual_instance: AuctionInstance) -> Split:
     """Graph exploration ranked by reported grand-bundle value: the split
     depends on valuations, which a candidate split must never do."""
     reports, grand = residual_instance.reports, full_bundle(residual_instance.m)
@@ -135,7 +138,7 @@ def valuation_ranked_cdp(residual_instance: AuctionInstance) -> DistributorParti
     )
 
 
-def invited_count_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+def invited_count_cdp(residual_instance: AuctionInstance) -> Split:
     """Graph exploration ranked by how many reports invite each bidder,
     reachable or not: an unclassified bidder's invitations move the ranks of
     the bidders she names, so her report changes the split."""
@@ -144,16 +147,16 @@ def invited_count_cdp(residual_instance: AuctionInstance) -> DistributorPartitio
     return _ranked_exploration(residual_instance, lambda i: (-invited[i], i))
 
 
-def outside_invited_cdp(residual_instance: AuctionInstance) -> DistributorPartition:
+def outside_invited_cdp(residual_instance: AuctionInstance) -> Split:
     """The exploration split minus every price setter that a bidder the
     split left out names: an unclassified bidder's invitations move only the
     non-trading side, and the candidates stay as they were."""
-    part = graph_exploration_cdp(residual_instance)
+    candidates, non_trading = graph_exploration_cdp(residual_instance)
     named: set[int] = set()
     for i, rep in residual_instance.reports.items():
-        if i not in part.non_trading and i not in part.candidates:
+        if i not in non_trading and i not in candidates:
             named |= rep.neighbors
-    return DistributorPartition(part.candidates, part.non_trading - named)
+    return candidates, non_trading - named
 
 
 def _greedy_division(

@@ -94,7 +94,7 @@ def check_rdm_end_to_end(
         truthful = inst.truthful()
         if not inst.seller_neighbors:
             continue
-        candidates = graph_exploration_cdp(truthful).candidates
+        candidates, _ = graph_exploration_cdp(truthful)
         for i in candidates:
             true_rep = truthful.reports[i]
             subs, pairs = _subset_lattice(true_rep.neighbors)

@@ -59,16 +59,12 @@ def exploration_example():
 
 def test_exploration_split_hand_simulation():
     inst = exploration_example()
-    part = graph_exploration_cdp(inst)
-    assert part.candidates == (1, 2, 5)
-    assert part.non_trading == {3, 4, 6}
+    assert graph_exploration_cdp(inst) == ((1, 2, 5), frozenset({3, 4, 6}))
 
 
 def test_singleton_frontier_is_a_lone_candidate():
     inst = build_instance(1, {1}, {1: {2}, 2: set()})
-    part = graph_exploration_cdp(inst)
-    assert part.candidates == (1,)
-    assert part.non_trading == frozenset()
+    assert graph_exploration_cdp(inst) == ((1,), frozenset())
 
 
 def reference_exploration_cdp(residual_instance):
@@ -117,9 +113,7 @@ def test_split_matches_the_reference_on_ragged_random_graphs():
 
 def test_trivial_cdp_takes_the_whole_frontier():
     inst = exploration_example()
-    part = mutants.trivial_cdp(inst)
-    assert part.candidates == (1, 2, 3, 4)
-    assert part.non_trading == frozenset()
+    assert mutants.trivial_cdp(inst) == ((1, 2, 3, 4), frozenset())
 
 
 def test_split_is_valuation_blind():

@@ -10,7 +10,6 @@ from netauction.critical import Unqualified, all_critical_structures, check_outc
 from netauction.drm import graph_exploration_cdp, greedy_bdp, unfloored_idm
 from netauction.framework import (
     BundleTuple,
-    DistributorPartition,
     InvalidTuple,
     dcaf_run_detailed,
     drp_run,
@@ -266,6 +265,18 @@ def test_two_round_showcase_structure():
     assert second.candidates == (6,)
     assert second.non_trading == ()
     assert second.resold == (True,)
+    # Price setters are kept in ascending id order, which on CPython is not
+    # the split's set order here: list(frozenset({1, 8})) == [8, 1].
+    spread = build_instance(
+        1, {1, 2, 3, 8},
+        {2: {4, 5}, 3: {6, 7}, **{i: set() for i in (1, 4, 5, 6, 7, 8)}},
+        {i: (0, 1) for i in range(1, 9)},
+    )
+    spread_first = dcaf_run_detailed(
+        spread, graph_exploration_cdp, greedy_bdp, unfloored_idm
+    ).rounds[0]
+    assert spread_first.candidates == (2, 3)
+    assert spread_first.non_trading == (1, 8)
     # item b failed to move in round one and returned to the pool
     assert first.items_after == 2
     outcome = run.outcome
@@ -351,12 +362,12 @@ def test_overlapping_tuples_rejected():
 
 
 def overlapping_cdp(residual):
-    return DistributorPartition((1,), frozenset({1}))
+    return (1,), frozenset({1})
 
 
 def nested_cdp(residual):
     # Bidder 1 alone invites bidder 2, so 2 lies inside 1's reach.
-    return DistributorPartition((1, 2), frozenset())
+    return (1, 2), frozenset()
 
 
 def outside_pool_bdp(instance, remaining, candidates, pr, rev):
@@ -384,7 +395,7 @@ def test_split_that_classifies_nobody_ends_after_one_round():
     # The round removes nobody, so the next frontier, which holds only
     # invitees of removed bidders, is empty although all three remain.
     def idle_cdp(residual):
-        return DistributorPartition((), frozenset())
+        return (), frozenset()
 
     run = dcaf_run_detailed(line_market_fixture(), idle_cdp, greedy_bdp, unfloored_idm)
     assert len(run.rounds) == 1
@@ -426,7 +437,7 @@ def test_unqualified_distributor_rejected():
     )
 
     def unreachable_cdp(residual):
-        return DistributorPartition((2,), frozenset())
+        return (2,), frozenset()
 
     with pytest.raises(Unqualified, match="bidder 2 is not reachable from the seller"):
         dcaf_run_detailed(inst, unreachable_cdp, greedy_bdp, unfloored_idm)

@@ -533,13 +533,13 @@ def reference_cdp_consistency(cdp, networks):
             rep = inst.reports[i]
             splits = []
             for sub in subs:
-                part = cdp(inst.with_report(rep.with_neighbors(sub)))
-                splits.append((frozenset(part.candidates), part.non_trading))
+                candidates, non_trading = cdp(inst.with_report(rep.with_neighbors(sub)))
+                splits.append((frozenset(candidates), non_trading))
             full = splits[-1]
             probe = replace(rep, values=probe_table)
-            bumped = cdp(inst.with_report(probe))
+            bumped, bumped_non_trading = cdp(inst.with_report(probe))
             result.cases += len(subs) + 1
-            if (frozenset(bumped.candidates), bumped.non_trading) != full:
+            if (frozenset(bumped), bumped_non_trading) != full:
                 flag(inst, i, probe, "split depends on a valuation report")
             if i in full[1]:
                 for sub, (_, non_trading) in zip(subs, splits):
