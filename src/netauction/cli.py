@@ -123,9 +123,8 @@ def _verify_family(scale: str):
 
 
 def _run_verify(prop: str, scale: str) -> CheckResult:
-    budget = 2048
-    space = DeviationSpace(v_max=3, budget=budget,
-                           others_budget=0 if scale == "tiny" else 2, seed=13)
+    space = DeviationSpace(v_max=3, others_budget=0 if scale == "tiny" else 2,
+                           seed=13)
     if prop == "ir":
         return check_ir(_drm_fn, _verify_family(scale), space)
     if prop == "ic":

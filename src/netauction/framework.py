@@ -50,16 +50,12 @@ class InvalidTuple(AuctionError):
     pass
 
 
-@dataclass(frozen=True)
-class BundleTuple:
+class BundleTuple(NamedTuple):
     """Per-candidate pair: the bundle offered for resale and the fallback
     reserve bundle."""
 
     resale: Bundle
     reserve: Bundle
-
-    def footprint(self) -> Bundle:
-        return self.resale | self.reserve
 
     def __str__(self) -> str:
         return f"(resale={bundle_str(self.resale)}, reserve={bundle_str(self.reserve)})"
@@ -266,9 +262,9 @@ def _check_tuples(tuples: Sequence[BundleTuple], count: int, remaining: Bundle) 
         raise InvalidTuple(f"{len(tuples)} bundle tuples for {count} candidates")
     union = 0
     for tup in tuples:
-        footprint = tup.footprint()
-        if footprint & ~remaining:
+        bundles = tup.resale | tup.reserve
+        if bundles & ~remaining:
             raise InvalidTuple(f"{tup} leaves the remaining item pool")
-        if footprint & union:
+        if bundles & union:
             raise InvalidTuple(f"{tup} overlaps another distributor's bundles")
-        union |= footprint
+        union |= bundles

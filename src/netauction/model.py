@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Money = int
 Bundle = int
@@ -65,20 +65,16 @@ def bundle_str(bundle: Bundle) -> str:
     return "{" + ",".join(str(i) for i in bundle_items(bundle)) + "}"
 
 
-def iter_subbundles(pool: Bundle) -> Iterator[Bundle]:
-    """All subsets of ``pool`` in canonical order: by size, then by sorted
-    item tuple.  The empty bundle comes first; iterating in this order makes
-    "first strict maximum wins" equal to the smaller-cardinality-then-
-    lexicographic tie-break used by the bundle division rules."""
-    return iter(_subbundles(pool))
-
-
 # A sweep divides only a few distinct pools (4 over the lab's IC family, 28
 # over six 10-item drm-wide instances), so 32 entries keep nearly every call
 # a hit.  Greedy pools hold at most 12 items (0.15 MB of subsets) and only
 # serialization asks for more, so the memo stays under 10 MB.
 @lru_cache(maxsize=32)
-def _subbundles(pool: Bundle) -> tuple[Bundle, ...]:
+def iter_subbundles(pool: Bundle) -> tuple[Bundle, ...]:
+    """All subsets of ``pool`` in canonical order: by size, then by sorted
+    item tuple.  The empty bundle comes first; iterating in this order makes
+    "first strict maximum wins" equal to the smaller-cardinality-then-
+    lexicographic tie-break used by the bundle division rules."""
     bits = [1 << k for k in range(pool.bit_length()) if pool >> k & 1]
     # combinations over ascending item bits come out in lexicographic order
     return tuple(

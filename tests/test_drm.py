@@ -183,8 +183,8 @@ def test_greedy_candidates_never_overlap():
         )
         taken = 0
         for tup in tuples:
-            assert tup.footprint() & taken == 0
-            taken |= tup.footprint()
+            assert (tup.resale | tup.reserve) & taken == 0
+            taken |= tup.resale | tup.reserve
 
 
 def reference_greedy_bdp(residual_instance, remaining, candidates, pr, rev, ties):

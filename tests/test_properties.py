@@ -398,6 +398,53 @@ def test_drm_ic_gap_by_value_misreport_with_others_truthful():
         assert _is_forced_resale_gap(detailed, violation)
 
 
+def _flagged_pairs(family, result):
+    """The (instance index, bidder) pairs a checker flagged on ``family``."""
+    index = {id(inst): k for k, inst in enumerate(family)}
+    return {(index[id(v.instance)], v.bidder) for v in result.violations}
+
+
+def test_drm_ic_gap_on_the_one_item_census():
+    """The exhaustive one-item census: every digraph on 1-3 bidders, every
+    seller set and every profile of tables with values 0..2.  The unchanged
+    IC checker, others truthful, finds only the forced-resale gap, and it
+    flags exactly the (instance, bidder) pairs at which RDM's utility form
+    fails."""
+    from test_acceptance import _is_forced_resale_gap, drm_detailed
+
+    census = [
+        instance_from_parts(1, seller, out, dict(zip(out, tables)))
+        for n in (1, 2, 3)
+        for seller, out in all_digraph_networks(n)
+        for tables in itertools.product(monotone_tables(1, 2), repeat=n)
+    ]
+    result = check_ic(drm, census, DeviationSpace(v_max=2))
+    assert (result.instances, result.cases, len(result.violations)) == (
+        13974, 242058, 5952,
+    )
+    assert result.scope == "exhaustive"
+    for violation in result.violations:
+        assert replay_violation(drm, violation) == violation.delta
+        assert _is_forced_resale_gap(drm_detailed, violation)
+
+    rdm = check_rdm_end_to_end(drm, census)
+    assert (rdm.cases, len(rdm.violations)) == (39216, 4776)
+    ic_pairs = _flagged_pairs(census, result)
+    assert len(ic_pairs) == 2904
+    assert _flagged_pairs(census, rdm) == ic_pairs
+
+
+def test_ic_violations_are_the_failures_of_rdm_utility_form():
+    """On the lab-ic family, others truthful, a bidder gains by deviating
+    exactly where her true utility falls as she reports more invitees."""
+    from test_acceptance import _tiny_family
+
+    family = _tiny_family()
+    ic_pairs = _flagged_pairs(family, check_ic(drm, family, DeviationSpace(v_max=3)))
+    assert len(ic_pairs) == 99
+    assert _flagged_pairs(family, check_rdm_end_to_end(drm, family)) == ic_pairs
+
+
 def test_rdm_end_to_end_detects_the_same_gap():
     result = check_rdm_end_to_end(drm, [scalar_market("line", (1, 2))])
     assert not result.ok
