@@ -63,25 +63,30 @@ def graph_exploration_cdp(
 
     Each layer expands only the price setters it has just classified: an
     earlier price setter's reporting invitees were all classified in the
-    layer after hers, so expanding her again would find nothing new."""
+    layer after hers, so expanding her again would find nothing new.
+
+    The walk ends at a layer of at most one bidder: she is a candidate, and
+    there is no price setter left to expand."""
     reports = residual_instance.reports
     candidates: list[int] = []
     non_trading: set[int] = set()
     classified: set[int] = set()
-    layer = {i for i in residual_instance.seller_neighbors if i in reports}
-    while layer:
+    layer = residual_instance.seller_neighbors & reports.keys()
+    while len(layer) > 1:
         ranked = sorted(layer, key=lambda i: (-len(reports[i].neighbors), i))
         cut = (len(ranked) + 1) // 2
         candidates.extend(ranked[:cut])
         setters = ranked[cut:]
         non_trading.update(setters)
         classified |= layer
-        layer = {
-            j
-            for i in setters
-            for j in reports[i].neighbors
-            if j in reports and j not in classified
-        }
+        # a plain loop, not a set comprehension: on Python 3.11 the
+        # comprehension's own frame costs more than a 2-4 bidder layer's work
+        layer = set()
+        for i in setters:
+            for j in reports[i].neighbors:
+                if j in reports and j not in classified:
+                    layer.add(j)
+    candidates.extend(layer)
     return tuple(candidates), frozenset(non_trading)
 
 

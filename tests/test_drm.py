@@ -30,6 +30,7 @@ from netauction.model import (
     full_bundle,
     iter_subbundles,
 )
+from netauction.properties import check_cdp_consistency
 
 import mutants
 from reference import two_round_showcase, virtual_bidder_idm
@@ -102,6 +103,56 @@ def test_split_matches_the_reference_on_every_small_digraph():
                 1, seller, out_edges, dict.fromkeys(out_edges, (0, 0))
             )
             assert graph_exploration_cdp(inst) == reference_exploration_cdp(inst)
+
+
+def test_split_matches_the_reference_on_every_four_bidder_digraph():
+    """All 65,536 networks on four bidders, each built the way the CDC sweep
+    builds its scratch instance: unvalidated, with zero tables."""
+    count = 0
+    for seller, out_edges in all_digraph_networks(4):
+        reports = {
+            i: BidderReport(i, (0, 0), neighbors)
+            for i, neighbors in out_edges.items()
+        }
+        inst = AuctionInstance(1, seller, reports)
+        assert graph_exploration_cdp(inst) == reference_exploration_cdp(inst)
+        count += 1
+    assert count == 65536
+
+
+def test_split_matches_the_reference_on_every_cdc_deviation():
+    """Every deviated report the CDC sweep makes on 1-3 bidders."""
+
+    def checked_split(inst):
+        split = graph_exploration_cdp(inst)
+        assert split == reference_exploration_cdp(inst)
+        return split
+
+    cases = violations = 0
+    for n in range(1, 4):
+        result = check_cdp_consistency(checked_split, all_digraph_networks(n))
+        cases += result.cases
+        violations += len(result.violations)
+    assert (cases, violations) == (5076, 0)
+
+
+def test_split_stops_at_a_lone_layer():
+    # frontier {1, 2} of degree 1 each: 1 is a candidate, 2 a price setter;
+    # 2's lone invitee 3 is a candidate, and 3's invitee 4 stays unclassified
+    inst = build_instance(
+        1, {1, 2}, {1: {5}, 2: {3}, 3: {4}, 4: set(), 5: set()}
+    )
+    assert graph_exploration_cdp(inst) == ((1, 3), frozenset({2}))
+
+
+def test_split_of_a_frontier_without_reports_is_empty():
+    reports = {1: BidderReport(1, (0, 0), frozenset({2}))}
+    assert graph_exploration_cdp(
+        AuctionInstance(1, frozenset(), reports)
+    ) == ((), frozenset())
+    assert graph_exploration_cdp(
+        AuctionInstance(1, frozenset({7, 8}), reports)
+    ) == ((), frozenset())
 
 
 def test_split_matches_the_reference_on_ragged_random_graphs():
