@@ -101,7 +101,7 @@ def parse_instance(text: str) -> AuctionInstance:
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if _require_int(version, "'schema_version'") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {version}")
     try:
         m = raw["m"]

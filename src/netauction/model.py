@@ -226,18 +226,6 @@ class MechanismConfig:
 # ---------------------------------------------------------------------------
 
 
-def _referenced_ids(instance: AuctionInstance) -> set[int]:
-    ids = set(instance.reports)
-    ids.update(instance.seller_neighbors)
-    for rep in instance.reports.values():
-        ids.update(rep.neighbors)
-    if instance.ground_truth is not None:
-        ids.update(instance.ground_truth)
-        for rep in instance.ground_truth.values():
-            ids.update(rep.neighbors)
-    return ids
-
-
 def _valid_id(bid: object) -> bool:
     return type(bid) is int and bid >= 1
 
@@ -276,26 +264,29 @@ def _check_report(rep: BidderReport, m: int, violations: list[str]) -> None:
 def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     """Check every model invariant; return a normalized instance.
 
-    Normalization materializes absent bidders (ids referenced as neighbors
-    but carrying no report) as present with zero tables and no neighbors,
+    Each absent bidder, an id that the seller's invitations, a report, a
+    truth entry or a neighbor set names but that the reports or the ground
+    truth lack, is filled into that map with a zero table and no neighbors,
     which keeps the diffusion graph closed without special cases downstream.
-    Raises :class:`InstanceValidationError` listing *all* violations found,
-    one message per issue.
+    Raises :class:`InstanceValidationError` listing *all* violations found.
     """
     if instance.m < 0 or instance.m > MAX_ITEMS:
         raise InstanceValidationError(
             [f"item count {instance.m} outside 0..{MAX_ITEMS}"]
         )
     violations: list[str] = []
+    ids = set(instance.seller_neighbors)
     # A ground-truth entry that is the report object itself, as in every
     # generated instance, is walked and checked once.
     walk = [*instance.reports.items(), *(instance.ground_truth or {}).items()]
     checked: set[int] = set()
     for (bid, obj), rep in {(bid, id(rep)): rep for bid, rep in walk}.items():
+        ids.add(bid)
         if rep.bidder_id != bid:
             violations.append(f"bidder {bid} holds a report for bidder {rep.bidder_id}")
         if obj not in checked:
             checked.add(obj)
+            ids |= rep.neighbors
             _check_report(rep, instance.m, violations)
     if instance.ground_truth is not None:
         for bid, rep in instance.reports.items():
@@ -316,15 +307,12 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
 
     zero = (0,) * (1 << instance.m)
     reports = dict(instance.reports)
-    for bid in _referenced_ids(instance):
+    truth = None if instance.ground_truth is None else dict(instance.ground_truth)
+    for bid in ids:
         if bid not in reports:
             reports[bid] = BidderReport(bid, zero, frozenset())
-    truth = instance.ground_truth
-    if truth is not None:
-        truth = dict(truth)
-        for bid in reports:
-            if bid not in truth:
-                truth[bid] = BidderReport(bid, zero, frozenset())
+        if truth is not None and bid not in truth:
+            truth[bid] = BidderReport(bid, zero, frozenset())
     return AuctionInstance(instance.m, instance.seller_neighbors, reports, truth)
 
 

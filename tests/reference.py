@@ -6,6 +6,8 @@ definition; the package computes the same sets as a dominator fixpoint
 independent oracle the tests hold it to.  :func:`check_rdm_end_to_end` is
 the literal utility form of resale diffusion monotonicity, run through the
 whole mechanism; the package's checker tests the bundle-division form.
+:func:`dealer_vetoes` predicts from one truthful run where the dealer
+mechanism's forced-resale gap can open.
 :func:`deviation_cases_without_memo` is the IR/IC sweep with one mechanism
 call per case, which the package's read-set memo must agree with.
 :func:`virtual_bidder_idm` is the reserve price written as one more bidder,
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from netauction.critical import Unqualified, all_critical_structures
 from netauction.drm import graph_exploration_cdp
+from netauction.framework import DcafRun, round_prices
 from netauction.generate import instance_from_parts, monotone_tables, scalar_market
 from netauction.idm import IdmSale, idm_run
 from netauction.model import (
@@ -113,6 +116,24 @@ def check_rdm_end_to_end(
                         )
                     )
     return result
+
+
+def dealer_vetoes(
+    run_detailed: Callable[[AuctionInstance], DcafRun], instance: AuctionInstance
+) -> set[tuple[int, int]]:
+    """The (round index, dealer) pairs of one truthful run in which a dealer
+    resells although she would veto it: her true reserve utility
+    ``v(reserve) - pr(reserve)`` strictly beats her resale margin
+    ``rev(resale) - pr(resale)``, at the round's own prices."""
+    truth = instance.ground_truth
+    vetoes = set()
+    for state in run_detailed(instance.truthful()).rounds:
+        pr, rev = round_prices(state.residual, state.non_trading)
+        for dealer, tup, resold in zip(state.candidates, state.tuples, state.resold):
+            reserve_utility = truth[dealer].values[tup.reserve] - pr(tup.reserve)
+            if resold and reserve_utility > rev(tup.resale) - pr(tup.resale):
+                vetoes.add((state.index, dealer))
+    return vetoes
 
 
 def deviation_cases_without_memo(

@@ -55,6 +55,10 @@ MALFORMED = [
     ("[1]", "top level must be an object"),
     ('{"schema_version": 2, "m": 1, "seller_neighbors": []}',
      "unsupported schema version 2"),
+    ('{"schema_version": true, "m": 1, "seller_neighbors": []}',
+     "'schema_version' True is not an integer"),
+    ('{"schema_version": 1.0, "m": 1, "seller_neighbors": []}',
+     "'schema_version' 1.0 is not an integer"),
     ('{"seller_neighbors": []}', "missing field 'm'"),
     ('{"m": 1}', "missing field 'seller_neighbors'"),
     ('{"m": 1, "seller_neighbors": [1], "bidders": [{"id": 1, "neighbors": [],'
@@ -66,8 +70,8 @@ MALFORMED = [
      ' "valuation": [[[1], 2], [[1], 3]]}]}', "truth bidder 1: bundle listed twice"),
 ]
 MALFORMED_IDS = ["bundle-twice", "item-twice", "item-twice-then-bundle", "not-object",
-                 "schema-version", "no-m", "no-seller", "item-0", "item-17",
-                 "truth-bundle-twice"]
+                 "schema-version", "schema-version-bool", "schema-version-float",
+                 "no-m", "no-seller", "item-0", "item-17", "truth-bundle-twice"]
 
 
 @pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)

@@ -182,6 +182,22 @@ def test_absent_bidders_materialized_with_zero_reports():
     assert 2 in inst.reports
     assert inst.reports[2].neighbors == frozenset()
     assert inst.reports[2].values[1] == 0
+    zero, four = _report(2), _report(2, (0, 4))
+    inviter = _report(1, neighbors={2})
+    # Inputs (seller, reports, truth), then the filled-in reports and truth.
+    # Bidder 2 is named only by the seller, only by her truth entry, only by
+    # a truth neighbor set, or she reports but has no truth entry.
+    for seller, reports, truth, want_reports, want_truth in (
+        ({1, 2}, {1: _report(1)}, None, {1: _report(1), 2: zero}, None),
+        ({1}, {1: _report(1)}, {1: _report(1), 2: four},
+         {1: _report(1), 2: zero}, {1: _report(1), 2: four}),
+        ({1}, {1: _report(1)}, {1: inviter},
+         {1: _report(1), 2: zero}, {1: inviter, 2: zero}),
+        ({1}, {1: inviter, 2: four}, {1: inviter},
+         {1: inviter, 2: four}, {1: inviter, 2: zero}),
+    ):
+        inst = validate_instance(AuctionInstance(1, frozenset(seller), reports, truth))
+        assert (inst.reports, inst.ground_truth) == (want_reports, want_truth)
 
 
 @pytest.mark.parametrize(

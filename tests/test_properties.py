@@ -64,6 +64,7 @@ from netauction.properties import (
 import mutants
 from reference import (
     check_rdm_end_to_end,
+    dealer_vetoes,
     deviation_cases_without_memo,
     two_round_showcase,
 )
@@ -404,13 +405,26 @@ def _flagged_pairs(family, result):
     return {(index[id(v.instance)], v.bidder) for v in result.violations}
 
 
+def _vetoed_pairs(family):
+    """The (instance index, dealer) pairs at which one truthful run shows a
+    dealer reselling against her own veto (:func:`reference.dealer_vetoes`)."""
+    from test_acceptance import drm_detailed
+
+    return {
+        (k, dealer)
+        for k, inst in enumerate(family)
+        for _, dealer in dealer_vetoes(drm_detailed, inst)
+    }
+
+
 def test_drm_ic_gap_on_the_one_item_census():
     """The exhaustive one-item census: every digraph on 1-3 bidders, every
     seller set and every profile of tables with values 0..2.  The unchanged
     IC checker, others truthful, finds only the forced-resale gap, and it
     flags exactly the (instance, bidder) pairs at which RDM's utility form
-    fails."""
-    from test_acceptance import _is_forced_resale_gap, drm_detailed
+    fails.  One truthful run predicts every flagged pair: there the dealer
+    resells although her true reserve utility beats her resale margin."""
+    from test_acceptance import _dealer_branch, _is_forced_resale_gap, drm_detailed
 
     census = [
         instance_from_parts(1, seller, out, dict(zip(out, tables)))
@@ -433,16 +447,27 @@ def test_drm_ic_gap_on_the_one_item_census():
     assert len(ic_pairs) == 2904
     assert _flagged_pairs(census, rdm) == ic_pairs
 
+    # The predicted pairs IC does not flag are dealers who stop being
+    # candidates once they hide every invitee.
+    vetoed = _vetoed_pairs(census)
+    assert ic_pairs <= vetoed and len(vetoed - ic_pairs) == 216
+    for k, dealer in vetoed - ic_pairs:
+        truthful = census[k].truthful()
+        hidden = truthful.with_report(truthful.reports[dealer].with_neighbors(()))
+        assert _dealer_branch(drm_detailed(hidden), dealer) is None
+
 
 def test_ic_violations_are_the_failures_of_rdm_utility_form():
     """On the lab-ic family, others truthful, a bidder gains by deviating
-    exactly where her true utility falls as she reports more invitees."""
+    exactly where her true utility falls as she reports more invitees, and
+    exactly where one truthful run shows her reselling against her veto."""
     from test_acceptance import _tiny_family
 
     family = _tiny_family()
     ic_pairs = _flagged_pairs(family, check_ic(drm, family, DeviationSpace(v_max=3)))
     assert len(ic_pairs) == 99
     assert _flagged_pairs(family, check_rdm_end_to_end(drm, family)) == ic_pairs
+    assert _vetoed_pairs(family) == ic_pairs
 
 
 def test_rdm_end_to_end_detects_the_same_gap():
